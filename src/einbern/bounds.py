@@ -71,6 +71,15 @@ class Subsample:
     with_replacement: bool = True
 
 
+def _require_finite(comps: tuple) -> None:
+    bad = [k for k, c in enumerate(comps) if not np.isfinite(c.data).all()]
+    if bad:
+        raise ModelError(
+            f"non-finite entries (NaN or Inf) in {len(bad)} of {len(comps)} "
+            f"components, first at index {bad[0]}"
+        )
+
+
 @dataclass(frozen=True)
 class SumModel:
     """A random sum Y = sum_k X_k of independent zero-mean tensors."""
@@ -93,6 +102,7 @@ class SumModel:
                 )
         if not comps[0].is_cubic or comps[0].order < 1:
             raise ModelError(f"components must be cubic with order >= 1, got {shape}")
+        _require_finite(comps)
         if isinstance(self.law, Subsample):
             if not self.law.with_replacement:
                 raise ModelError(
@@ -125,6 +135,8 @@ class SumModel:
         pop = tuple(population)
         if not pop:
             raise ModelError("population must be non-empty")
+        # checked before centering, which would spread one NaN to every tensor
+        _require_finite(pop)
         mean = np.zeros(pop[0].size)
         for c in pop:
             if c.shape != pop[0].shape:
@@ -313,6 +325,11 @@ def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
     reporting.  A deterministic zero sum (nu = L = 0) has zero tail for
     every positive t.
     """
+    if not all(math.isfinite(x) for x in (t, nu, L, dim_factor)):
+        raise DomainError(
+            f"tail bound arguments must be finite, got t={t}, nu={nu}, "
+            f"L={L}, dim_factor={dim_factor}"
+        )
     if t < 0:
         raise DomainError(f"t must be nonnegative, got {t}")
     if nu < 0 or L < 0:

@@ -38,7 +38,10 @@ def _grid_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
     if num < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
-    return tuple(float(t) for t in np.linspace(start, stop, num))
+    grid = np.linspace(start, stop, num)
+    if not np.isfinite(grid).all():
+        raise argparse.ArgumentTypeError(f"grid points must be finite, got {text!r}")
+    return tuple(float(t) for t in grid)
 
 
 def _build_parser() -> argparse.ArgumentParser:

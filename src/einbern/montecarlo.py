@@ -1,16 +1,15 @@
 """Seeded simulation of random tensor sums against the closed-form bounds.
 
 Each trial draws its own generator from (seed, trial index), so trials
-are order-independent and the thread count never changes the result.
-The executor honours the EB_THREADS environment variable; aggregation
-always reduces in trial order.
+are order-independent.  Trials run one after another in one thread;
+EB_THREADS is still validated but never changes what runs or what
+comes out.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +50,19 @@ class ExperimentConfig:
         object.__setattr__(self, "t_grid", grid)
         if not grid:
             raise ModelError("t_grid must be non-empty")
+        if not all(math.isfinite(t) for t in grid):
+            raise ModelError(f"t_grid values must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ModelError("t_grid must be strictly ascending")
         if grid[0] < 0:
             raise ModelError("t values must be nonnegative")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ModelError("seed must be a nonnegative integer")
-        if self.confidence_slack < 0:
-            raise ModelError("confidence_slack must be nonnegative")
+        if not math.isfinite(self.confidence_slack) or self.confidence_slack < 0:
+            raise ModelError(
+                f"confidence_slack must be finite and nonnegative, "
+                f"got {self.confidence_slack}"
+            )
         if self.theorem not in ("auto", "even", "general", "intrinsic"):
             raise ModelError(f"unknown theorem {self.theorem!r}")
 
@@ -127,36 +131,25 @@ class ExperimentResult:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
+    """Validate a thread request and return the number of threads that run
+    trials, which is always one.
+
+    An explicit ``threads`` argument takes precedence over EB_THREADS;
+    EB_THREADS must parse as an integer.
+    """
     env = os.environ.get("EB_THREADS", "").strip()
-    if env:
+    if threads is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError as exc:
             raise ModelError(f"EB_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
+    return 1
 
 
-def _collect_statistics(config: ExperimentConfig, stat, threads: int) -> np.ndarray:
+def _collect_statistics(config: ExperimentConfig, stat) -> np.ndarray:
     out = np.empty(config.trials)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            y = sample_sum(config.model, trial_rng(config.seed, i))
-            out[i] = stat(y)
-
-    if threads <= 1 or config.trials < 2 * threads:
-        fill(0, config.trials)
-        return out
-    edges = np.linspace(0, config.trials, threads + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(fill, int(lo), int(hi))
-            for lo, hi in zip(edges[:-1], edges[1:])
-        ]
-        for fut in futures:
-            fut.result()
+    for i in range(config.trials):
+        out[i] = stat(sample_sum(config.model, trial_rng(config.seed, i)))
     return out
 
 
@@ -168,6 +161,7 @@ def run_experiment(
     The per-t upper confidence value is the empirical frequency plus
     slack standard errors plus 1/trials, clamped into [0, 1]; a grid
     point passes when that value stays below the clamped bound.
+    ``threads`` (or EB_THREADS) is validated only: trials run serially.
     """
     report = build_report(config.model, config.theorem)
     for t in config.t_grid:
@@ -176,8 +170,9 @@ def run_experiment(
                 f"t={t} lies below the bound's validity threshold "
                 f"{report.tail_domain_min}"
             )
+    _resolve_threads(threads)
     name, stat = _statistic(config.model, report.theorem)
-    stats = _collect_statistics(config, stat, _resolve_threads(threads))
+    stats = _collect_statistics(config, stat)
 
     trials = config.trials
     rows = []

@@ -1,9 +1,8 @@
 """Symmetric eigensolver, Einstein spectra, and Z-eigenvalue estimation.
 
-The eigensolver is a cyclic Jacobi iteration: dependency-free, robust,
-and fast enough for the matrix sizes this package meets (d**m <= 256).
-Everything spectral about a pairwise-symmetric tensor reduces to the
-spectrum of its square unfolding.
+Eigensolves go through LAPACK ``eigh`` via numpy.  Everything spectral
+about a pairwise-symmetric tensor reduces to the spectrum of its square
+unfolding.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import hermitian_dilation, matricize, matricize_general, unmatricize
-from .errors import ConvergenceError, ShapeError, SymmetryError
+from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
 from .tensor import (
     DEFAULT_TOL,
     Tensor,
@@ -64,76 +63,28 @@ class EinsteinEVD:
     values: np.ndarray
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = float(a[p, q])
-    if apq == 0.0:
-        return
-    # hypot keeps the small-angle branch finite even when tau overflows
-    tau = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-    t = 1.0 / (abs(tau) + math.hypot(1.0, tau))
-    if tau < 0.0:
-        t = -t
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
+def sym_eig(mat, tol: float = 1e-12) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - s * rq
-    a[q, :] = s * rp + c * rq
-    cp = a[:, p].copy()
-    cq = a[:, q].copy()
-    a[:, p] = c * cp - s * cq
-    a[:, q] = s * cp + c * cq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
-def _off_diagonal_sq(a: np.ndarray) -> float:
-    # computed directly rather than as total minus diagonal, which would
-    # cancel catastrophically once the matrix is nearly diagonal
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float((b * b).sum())
-
-
-def sym_eig(mat, tol: float = 1e-12, max_sweeps: int = 100) -> EigenDecomposition:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps rotate away off-diagonal entries pairwise until the
-    off-diagonal Frobenius mass drops below ``tol`` times the Frobenius
-    norm of the input.  Eigenvalues come back descending with a stable
-    tie order.
+    The input must be finite and symmetric within ``tol`` (scaled by its
+    largest entry and size); its symmetric part is decomposed.
+    Eigenvalues come back descending with a stable tie order.
     """
     m = np.asarray(mat, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NumericalError("matrix has non-finite entries")
     n = m.shape[0]
     scale = float(np.abs(m).max()) if m.size else 0.0
     if float(np.abs(m - m.T).max()) > tol * max(1.0, scale) * n:
         raise SymmetryError("matrix is not symmetric within tolerance")
-
-    a = (m + m.T) / 2.0
-    v = np.eye(n)
-    target_sq = (tol * float(np.linalg.norm(a))) ** 2
-    converged = n < 2
-    for _ in range(max_sweeps):
-        if _off_diagonal_sq(a) <= target_sq:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-    if not converged and _off_diagonal_sq(a) > target_sq:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {max_sweeps} iterations"
-        )
-    values = np.diag(a).copy()
+    try:
+        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values=values[order], vectors=v[:, order])
+    return EigenDecomposition(values=values[order], vectors=vectors[:, order])
 
 
 def _require_e_symmetric(t: Tensor, tol: float) -> None:

@@ -42,6 +42,15 @@ class TestSumModel:
         with pytest.raises(ModelError):
             SumModel.rademacher([])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, value):
+        bad = Tensor((2, 2), [1.0, 0.0, 0.0, value])
+        good = Tensor((2, 2), np.eye(2).ravel())
+        with pytest.raises(ModelError, match="non-finite"):
+            SumModel.rademacher([good, bad])
+        with pytest.raises(ModelError, match="non-finite"):
+            SumModel.subsample([good, bad], 2)
+
     def test_shape_agreement(self):
         with pytest.raises(ModelError):
             SumModel.rademacher(
@@ -245,6 +254,14 @@ class TestClosedForms:
     def test_tail_domain(self):
         with pytest.raises(DomainError):
             tail_bound(-0.1, 1, 1, 2)
+
+    @pytest.mark.parametrize("args", [
+        (math.nan, 1, 1, 2), (math.inf, 1, 1, 2), (1, math.nan, 1, 2),
+        (1, 1, math.inf, 2), (1, 1, 1, math.nan),
+    ])
+    def test_tail_rejects_non_finite(self, args):
+        with pytest.raises(DomainError):
+            tail_bound(*args)
 
     def test_tail_monotonicity(self):
         ts = np.linspace(0, 6, 31)

@@ -1,9 +1,14 @@
 """Command-line surface: flags, exit codes, file outputs, determinism."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einbern import (
     ModelError,
@@ -212,6 +217,30 @@ class TestBoundCommand:
         assert main(["bound", "--config", config, "--theorem", "even",
                      "--t-grid", "nope", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_nan_grid_spec_exits_2(self, tmp_path, capsys):
+        config = write_json(tmp_path / "model.json", even_model_doc())
+        out = tmp_path / "x.csv"
+        assert main(["bound", "--config", config, "--theorem", "even",
+                     "--t-grid", "nan:1:3", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theorem", ["even", "general", "intrinsic"])
+    def test_non_finite_component_exits_2(self, tmp_path, capsys, theorem):
+        doc = {
+            "schema": 1,
+            "law": "rademacher",
+            "components": [
+                {"shape": [2, 2], "entries": [[1, 1, 1.0], [2, 2, math.nan]]},
+                {"shape": [2, 2], "entries": [[1, 2, 1.0], [2, 1, 1.0]]},
+            ],
+        }
+        config = write_json(tmp_path / "model.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["bound", "--config", config, "--theorem", theorem,
+                     "--t-grid", "0:5:3", "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def experiment_doc(self, trials=400, seed=5):
@@ -249,6 +278,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", config, "--out", str(out1)]) == 0
         assert main(["simulate", "--config", config, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_nan_grid_point_exits_2(self, tmp_path):
+        doc = self.experiment_doc()
+        doc["t_grid"] = [0.0, math.nan, 1.0]
+        config = write_json(tmp_path / "exp.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_field_exits_2(self, tmp_path):
         doc = self.experiment_doc()
@@ -299,3 +336,49 @@ class TestShippedDemos:
 def test_usage_errors():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def small_experiment_doc():
+    return {
+        "schema": 1,
+        "model": {
+            "law": "rademacher",
+            "components": [
+                {"shape": [2, 2], "entries": [[1, 1, 1.0], [2, 2, -1.0]]},
+                {"shape": [2, 2], "entries": [[1, 2, 0.5], [2, 1, 0.5]]},
+            ],
+        },
+        "trials": 100,
+        "t_grid": [0.0, 1.0, 2.0],
+        "seed": 0,
+    }
+
+
+def test_small_experiment_passes(tmp_path):
+    # the base of the non-finite property below: valid, and all verdicts pass
+    config = write_json(tmp_path / "exp.json", small_experiment_doc())
+    assert main(["simulate", "--config", config,
+                 "--out", str(tmp_path / "x.csv")]) == 0
+
+
+@given(
+    where=st.sampled_from(["component", "grid", "slack"]),
+    index=st.integers(min_value=0, max_value=5),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+@settings(max_examples=40, deadline=None)
+def test_no_non_finite_input_passes(where, index, value):
+    doc = small_experiment_doc()
+    if where == "component":
+        comp = doc["model"]["components"][index % 2]
+        comp["entries"][index // 2 % 2][-1] = value
+    elif where == "grid":
+        doc["t_grid"][index % 3] = value
+    else:
+        doc["confidence_slack"] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_json(Path(tmp) / "exp.json", doc)
+        out = Path(tmp) / "x.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) != 0
+        rows = out.read_text().splitlines()[1:] if out.exists() else []
+        assert not any(row.endswith(",pass") for row in rows)

@@ -7,6 +7,7 @@ import pytest
 
 from einbern import (
     ConvergenceError,
+    NumericalError,
     ShapeError,
     SymmetryError,
     Tensor,
@@ -83,6 +84,26 @@ class TestSymEig:
     def test_zero_matrix(self):
         dec = sym_eig(np.zeros((3, 3)))
         assert np.array_equal(dec.values, np.zeros(3))
+
+    def test_rejects_nan(self):
+        # NaN compares False against the symmetry tolerance, so it must be
+        # caught before that check
+        with pytest.raises(NumericalError):
+            sym_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_inf(self, value):
+        with pytest.raises(NumericalError):
+            sym_eig(np.array([[value, 0.0], [0.0, 1.0]]))
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError) as info:
+            sym_eig(np.eye(3))
+        assert isinstance(info.value, NumericalError)
 
 
 class TestEinsteinSpectrum:
