@@ -24,6 +24,7 @@ __all__ = [
     "gen_product_inner_reference",
     "matricize",
     "matricize_general",
+    "matricize_rows",
     "unmatricize",
     "hermitian_dilation",
 ]
@@ -173,6 +174,16 @@ def matricize_general(t: Tensor) -> np.ndarray:
     d = t.cubic_dim
     m = (t.order + 1) // 2
     return t.data.reshape((d**m, d ** (t.order - m)), order="F")
+
+
+def matricize_rows(rows, order: int, d: int) -> np.ndarray:
+    """Unfold each row of a (B, d**order) stack of flat cubic tensors.
+
+    Row b becomes the matrix ``matricize_general`` gives for it; the
+    result is a (B, d**m, d**(order-m)) view, m = ceil(order/2).
+    """
+    m = (order + 1) // 2
+    return np.asarray(rows).reshape(-1, d ** (order - m), d**m).transpose(0, 2, 1)
 
 
 def matricize(t: Tensor) -> np.ndarray:

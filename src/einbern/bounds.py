@@ -12,20 +12,15 @@ are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    einstein_product,
-    gen_product_inner,
-    gen_product_outer,
-    matricize,
-)
+from .algebra import matricize, matricize_rows, unmatricize
 from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
-from .spectral import e_eigenvalues, gen_spectral_norm, sym_eig
-from .tensor import DEFAULT_TOL, Tensor, is_e_symmetric
+from .spectral import e_eigenvalues, sym_eig, sym_eigvals, top_singular_values
+from .tensor import DEFAULT_TOL, Tensor, e_symmetric_rows
 
 __all__ = [
     "Rademacher",
@@ -71,38 +66,52 @@ class Subsample:
     with_replacement: bool = True
 
 
-def _require_finite(comps: tuple) -> None:
-    bad = [k for k, c in enumerate(comps) if not np.isfinite(c.data).all()]
-    if bad:
+def _stack_of(comps: tuple) -> np.ndarray:
+    """(K, size) stack of same-shape tensors, checked to be finite."""
+    shape = comps[0].shape
+    for c in comps:
+        if not isinstance(c, Tensor):
+            raise ModelError("components must be Tensor instances")
+        if c.shape != shape:
+            raise ModelError(f"components disagree in shape: {c.shape} vs {shape}")
+    stack = np.stack([c.data for c in comps])
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
+    if bad.size:
         raise ModelError(
-            f"non-finite entries (NaN or Inf) in {len(bad)} of {len(comps)} "
+            f"non-finite entries (NaN or Inf) in {bad.size} of {len(comps)} "
             f"components, first at index {bad[0]}"
         )
+    return stack
 
 
 @dataclass(frozen=True)
 class SumModel:
-    """A random sum Y = sum_k X_k of independent zero-mean tensors."""
+    """A random sum Y = sum_k X_k of independent zero-mean tensors.
+
+    The components are held once, as the rows of the read-only (K, d**N)
+    array ``stack``; ``components`` are Tensor views of those rows.
+    """
 
     components: tuple
     law: Rademacher | Subsample = Rademacher()
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _even_symmetric: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         comps = tuple(self.components)
-        object.__setattr__(self, "components", comps)
         if not comps:
             raise ModelError("a model needs at least one component")
+        stack = _stack_of(comps)
         shape = comps[0].shape
-        for c in comps:
-            if not isinstance(c, Tensor):
-                raise ModelError("components must be Tensor instances")
-            if c.shape != shape:
-                raise ModelError(
-                    f"components disagree in shape: {c.shape} vs {shape}"
-                )
         if not comps[0].is_cubic or comps[0].order < 1:
             raise ModelError(f"components must be cubic with order >= 1, got {shape}")
-        _require_finite(comps)
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(
+            self, "components", tuple(Tensor(shape, row, copy=False) for row in stack)
+        )
         if isinstance(self.law, Subsample):
             if not self.law.with_replacement:
                 raise ModelError(
@@ -110,11 +119,8 @@ class SumModel:
                 )
             if self.law.sample_size < 1:
                 raise ModelError("sample_size must be positive")
-            total = np.zeros(comps[0].size)
-            scale = 0.0
-            for c in comps:
-                total += c.data
-                scale = max(scale, c.max_abs())
+            total = stack.sum(axis=0)
+            scale = float(np.abs(stack).max())
             if float(np.abs(total).max()) > DEFAULT_TOL * max(scale, 1.0) * len(comps):
                 raise ModelError(
                     "subsample population is not centered; build the model "
@@ -136,15 +142,13 @@ class SumModel:
         if not pop:
             raise ModelError("population must be non-empty")
         # checked before centering, which would spread one NaN to every tensor
-        _require_finite(pop)
-        mean = np.zeros(pop[0].size)
-        for c in pop:
-            if c.shape != pop[0].shape:
-                raise ModelError("population tensors disagree in shape")
-            mean += c.data
-        mean /= len(pop)
-        centered = tuple(Tensor(c.shape, c.data - mean, copy=False) for c in pop)
-        return cls(centered, Subsample(sample_size, with_replacement))
+        stack = _stack_of(pop)
+        centered = stack - stack.mean(axis=0)
+        shape = pop[0].shape
+        return cls(
+            tuple(Tensor(shape, row, copy=False) for row in centered),
+            Subsample(sample_size, with_replacement),
+        )
 
     @property
     def order(self) -> int:
@@ -166,10 +170,19 @@ class SumModel:
         return len(self.components)
 
     def is_even_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
-        """True when the even-order, pairwise-symmetric bound applies."""
-        return self.order % 2 == 0 and all(
-            is_e_symmetric(c, tol) for c in self.components
-        )
+        """True when the even-order, pairwise-symmetric bound applies.
+
+        Checked once per tolerance, over the whole stack.
+        """
+        if tol not in self._even_symmetric:
+            self._even_symmetric[tol] = self.order % 2 == 0 and bool(
+                e_symmetric_rows(self.stack, tol).all()
+            )
+        return self._even_symmetric[tol]
+
+    def unfoldings(self) -> np.ndarray:
+        """(K, d**m, d**(N-m)) view of every component's unfolding."""
+        return matricize_rows(self.stack, self.order, self.dim)
 
 
 def _draw_scale(model: SumModel) -> float:
@@ -192,47 +205,49 @@ def uniform_bound_L(model: SumModel, kind: str | None = None) -> float:
     if kind not in ("even", "general"):
         raise DomainError(f"unknown bound kind {kind!r}")
     scale = _draw_scale(model)
-    best = 0.0
     if kind == "even":
         if not model.is_even_symmetric():
             raise ApplicabilityError(
                 "eigenvalue cap needs an even order and pairwise-symmetric "
                 "components"
             )
-        for c in model.components:
-            values = e_eigenvalues(c)
-            if isinstance(model.law, Rademacher):
-                # both signs occur, so the cap is the eigenvalue magnitude
-                best = max(best, values[0], -values[-1])
-            else:
-                best = max(best, scale * values[0])
+        values = sym_eigvals(model.unfoldings())
+        if isinstance(model.law, Rademacher):
+            # both signs occur, so the cap is the eigenvalue magnitude
+            best = max(values[:, -1].max(), -values[:, 0].min())
+        else:
+            best = scale * values[:, -1].max()
     else:
-        for c in model.components:
-            best = max(best, scale * gen_spectral_norm(c))
-    return float(best)
+        best = scale * top_singular_values(model.unfoldings()).max()
+    return float(max(best, 0.0))
 
 
-def _symmetrized(t: Tensor) -> Tensor:
-    half = matricize(t)
-    return Tensor(t.shape, ((half + half.T) / 2.0).reshape(-1, order="F"), copy=False)
+def _gram(rows: np.ndarray, factor: float) -> np.ndarray:
+    """factor * rows^T rows, exactly symmetric; overflow is a NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows.T @ rows
+        gram = factor * ((gram + gram.T) / 2.0)
+    if not np.isfinite(gram).all():
+        raise NumericalError("variance statistic overflowed to a non-finite value")
+    return gram
 
 
 def einstein_second_moment(model: SumModel) -> Tensor:
-    """Exact sum over summands of E(X_k * X_k) under the Einstein square."""
+    """Exact sum over summands of E(X_k * X_k) under the Einstein square.
+
+    A pairwise-symmetric X has X * X = X * X^T, so the sum is one Gram
+    product of the side-by-side unfoldings H = [X_1 ... X_K]: H H^T.
+    The columns of H are the length-d**m rows of the reshaped stack.
+    """
     if model.order % 2:
         raise ApplicabilityError("the Einstein square needs an even order")
-    for c in model.components:
-        if not is_e_symmetric(c):
-            raise ApplicabilityError("components must be pairwise symmetric")
-    acc = None
-    for c in model.components:
-        sq = einstein_product(c, c)
-        acc = sq if acc is None else acc + sq
-    if isinstance(model.law, Subsample):
-        # per draw: mean over the n population squares times (n/s)^2,
-        # summed over the s draws
-        acc = acc * (len(model.components) / model.law.sample_size)
-    return _symmetrized(acc)
+    if not model.is_even_symmetric():
+        raise ApplicabilityError("components must be pairwise symmetric")
+    n = model.dim ** model.split
+    # per subsample draw: the mean of the n population squares times
+    # (n/s)^2, summed over the s draws, is n/s times their sum
+    gram = _gram(model.stack.reshape(-1, n), _draw_scale(model))
+    return unmatricize(gram, model.order, model.dim)
 
 
 def variance_even(model: SumModel) -> float:
@@ -261,19 +276,17 @@ def variance_general(model: SumModel) -> GeneralVariance:
 
     Independence and zero means make cross terms vanish, so summing the
     per-component second moments is exact, with the subsampling scale
-    applied in closed form.
+    applied in closed form.  With F_k the unfoldings, the outer sum is
+    H H^T for the side-by-side H = [F_1 ... F_K] and the inner sum is
+    V^T V for the stacked V = [F_1; ...; F_K]: two Gram products.
     """
-    acc_outer = None
-    acc_inner = None
-    for c in model.components:
-        o = gen_product_outer(c, c)
-        i = gen_product_inner(c, c)
-        acc_outer = o if acc_outer is None else acc_outer + o
-        acc_inner = i if acc_inner is None else acc_inner + i
-    if isinstance(model.law, Subsample):
-        factor = len(model.components) / model.law.sample_size
-        acc_outer = acc_outer * factor
-        acc_inner = acc_inner * factor
+    order, d, m = model.order, model.dim, model.split
+    factor = _draw_scale(model)
+    # the columns of H are the length-d**m rows of the reshaped stack
+    outer = _gram(model.stack.reshape(-1, d**m), factor)
+    inner = _gram(model.unfoldings().reshape(-1, d ** (order - m)), factor)
+    acc_outer = unmatricize(outer, 2 * m, d)
+    acc_inner = unmatricize(inner, 2 * (order - m), d)
     vals_outer = e_eigenvalues(acc_outer)
     vals_inner = e_eigenvalues(acc_inner)
     nu = max(
@@ -366,6 +379,8 @@ class BernsteinReport:
     tail_domain_min: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.nu) and math.isfinite(self.L)):
+            raise NumericalError(f"non-finite bound quantity: L={self.L}, nu={self.nu}")
         if self.nu < 0 or self.L < 0:
             raise DomainError("nu and L must be nonnegative")
         if self.dv is not None and self.dv > self.dim_factor * (1 + 1e-9):

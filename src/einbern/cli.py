@@ -14,8 +14,8 @@ import numpy as np
 
 from .algebra import matricize
 from .bounds import build_report, format_report, format_tail_csv
-from .config import load_experiment, load_model
-from .errors import ApplicabilityError, EinbernError, NumericalError
+from .config import grid_points, load_experiment, load_model
+from .errors import ApplicabilityError, EinbernError, ModelError, NumericalError
 from .montecarlo import check_expectation, format_results_csv, run_experiment
 from .spectral import e_eigenvalues, is_e_psd, z_eigen_max
 from .tensor import apply_power, psd_counterexample_tensor
@@ -33,15 +33,9 @@ def _grid_spec(text: str) -> tuple:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected a:b:n, got {text!r}")
     try:
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
+        return grid_points(float(parts[0]), float(parts[1]), int(parts[2]))
+    except (ValueError, ModelError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
-    if num < 1:
-        raise argparse.ArgumentTypeError("grid needs at least one point")
-    grid = np.linspace(start, stop, num)
-    if not np.isfinite(grid).all():
-        raise argparse.ArgumentTypeError(f"grid points must be finite, got {text!r}")
-    return tuple(float(t) for t in grid)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_bound.add_argument(
         "--t-grid", required=True, type=_grid_spec, metavar="a:b:n",
-        help="linspace of t values, e.g. 0:5:21",
+        help="linspace of t values, e.g. 0:5:21; a negative start needs "
+        "the --t-grid=a:b:n form",
     )
     p_bound.add_argument("--out", required=True, help="CSV output path")
 

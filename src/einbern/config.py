@@ -27,6 +27,8 @@ from .tensor import (
 
 __all__ = [
     "SCHEMA_VERSION",
+    "MAX_MODEL_ENTRIES",
+    "grid_points",
     "model_from_dict",
     "experiment_from_dict",
     "load_model",
@@ -34,6 +36,12 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+# Largest number of tensor entries (count x d**N) one model document may
+# describe: 2**24 float64 entries are 128 MiB, and building and bounding
+# a model copies them a few times.  Larger documents are refused before
+# anything is allocated.
+MAX_MODEL_ENTRIES = 1 << 24
 
 _MODEL_KEYS = {"law", "components", "generate", "sample_size", "with_replacement"}
 _GENERATE_KEYS = {"count", "order", "dim", "seed", "kind", "scale"}
@@ -62,18 +70,30 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _tensor_from_spec(spec, base_dir: str) -> Tensor:
+def _over_budget(what: str) -> ModelError:
+    return ModelError(
+        f"{what} takes the model over its budget of {MAX_MODEL_ENTRIES} "
+        f"tensor entries"
+    )
+
+
+def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> Tensor:
+    """One component; it may hold at most ``budget`` entries."""
     if isinstance(spec, dict) and set(spec) == {"file"}:
         path = spec["file"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         try:
-            return read_tensor_text(path)
+            return read_tensor_text(path, budget)
         except (OSError, ValueError, IndexError) as exc:
             raise ModelError(f"bad tensor file {spec['file']!r}: {exc}") from exc
     _check_keys(spec, _COMPONENT_KEYS, "component")
     shape = tuple(_int(s, "mode size") for s in _require(spec, "shape", "component"))
     entries = _require(spec, "entries", "component")
+    if any(s < 1 for s in shape):
+        raise ModelError(f"mode sizes must be positive, got {list(shape)}")
+    if math.prod(shape) > budget:
+        raise _over_budget(f"a component of shape {list(shape)}")
     data = np.zeros(math.prod(shape) if shape else 1)
     for entry in entries:
         if len(entry) != len(shape) + 1:
@@ -98,6 +118,10 @@ def _generate_components(spec: dict) -> list:
     scale = float(spec.get("scale", 1.0))
     if count < 1 or order < 1 or dim < 1:
         raise ModelError("count, order and dim must be positive")
+    # past order 64 any dim > 1 is over budget; the cap keeps the
+    # integer power small
+    if count * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
+        raise _over_budget(f"generating {count} order-{order} dim-{dim} tensors")
     rng = np.random.default_rng(seed)
     shape = (dim,) * order
     out = []
@@ -129,7 +153,11 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
         specs = doc["components"]
         if not isinstance(specs, list) or not specs:
             raise ModelError("'components' must be a non-empty list")
-        components = [_tensor_from_spec(s, base_dir) for s in specs]
+        components = []
+        budget = MAX_MODEL_ENTRIES
+        for s in specs:
+            components.append(_tensor_from_spec(s, base_dir, budget))
+            budget -= components[-1].size
     else:
         components = _generate_components(doc["generate"])
 
@@ -150,15 +178,28 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
         raise ModelError(str(exc)) from exc
 
 
+def grid_points(start: float, stop: float, num: int) -> tuple:
+    """``num`` evenly spaced points from ``start`` to ``stop``.
+
+    Both ends and the span between them must be finite; a span that
+    overflows is refused before numpy computes anything from it.
+    """
+    if num < 1:
+        raise ModelError("a grid needs at least one point")
+    if not all(math.isfinite(x) for x in (start, stop, stop - start)):
+        raise ModelError(
+            f"grid ends and their difference must be finite, got {start} to {stop}"
+        )
+    return tuple(float(t) for t in np.linspace(start, stop, num))
+
+
 def _grid_from_spec(spec) -> tuple:
     if isinstance(spec, dict):
         _check_keys(spec, _GRID_KEYS, "t_grid")
         start = float(_require(spec, "start", "t_grid"))
         stop = float(_require(spec, "stop", "t_grid"))
         num = _int(_require(spec, "num", "t_grid"), "num")
-        if num < 1:
-            raise ModelError("t_grid num must be positive")
-        return tuple(float(t) for t in np.linspace(start, stop, num))
+        return grid_points(start, stop, num)
     if not isinstance(spec, list) or not spec:
         raise ModelError("t_grid must be a non-empty list or a start/stop/num object")
     return tuple(float(t) for t in spec)

@@ -212,6 +212,19 @@ def is_e_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     return diff <= tol * t.max_abs()
 
 
+def e_symmetric_rows(rows, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Row-wise ``is_e_symmetric`` over a (B, n*n) stack of flat
+    even-order cubic tensors whose square unfoldings are n by n."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = math.isqrt(rows.shape[-1])
+    if rows.ndim != 2 or n * n != rows.shape[1]:
+        raise ShapeError(f"rows of shape {rows.shape} do not unfold to square matrices")
+    mats = rows.reshape(len(rows), n, n)
+    diff = mats - mats.transpose(0, 2, 1)
+    np.abs(diff, out=diff)
+    return diff.max(axis=(1, 2)) <= tol * np.abs(rows).max(axis=1)
+
+
 def is_diagonal(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """True when all off-diagonal entries vanish within tol (scaled)."""
     d = _require_even_cubic(t)
@@ -353,8 +366,12 @@ def format_tensor_text(t: Tensor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tensor_text(text: str) -> Tensor:
-    """Parse the sparse fixture format produced by format_tensor_text."""
+def parse_tensor_text(text: str, max_entries: int | None = None) -> Tensor:
+    """Parse the sparse fixture format produced by format_tensor_text.
+
+    A header announcing more than ``max_entries`` entries is refused
+    before any buffer is allocated.
+    """
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty tensor text")
@@ -367,6 +384,11 @@ def parse_tensor_text(text: str) -> Tensor:
         raise ValueError(
             f"header announces order {order} but lists {len(shape)} mode sizes"
         )
+    if max_entries is not None and math.prod(shape) > max_entries:
+        raise ValueError(
+            f"shape {shape} has {math.prod(shape)} entries, more than the "
+            f"{max_entries} allowed"
+        )
     data = np.zeros(math.prod(shape))
     for parts in rows[1:]:
         if len(parts) != order + 1:
@@ -376,9 +398,9 @@ def parse_tensor_text(text: str) -> Tensor:
     return Tensor(shape, data, copy=False)
 
 
-def read_tensor_text(path) -> Tensor:
+def read_tensor_text(path, max_entries: int | None = None) -> Tensor:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_tensor_text(fh.read())
+        return parse_tensor_text(fh.read(), max_entries)
 
 
 def write_tensor_text(t: Tensor, path) -> None:

@@ -17,6 +17,7 @@ from einbern import (
     is_e_symmetric,
     matricize,
     matricize_general,
+    matricize_rows,
     psd_counterexample_tensor,
     random_tensor,
     transpose_even,
@@ -223,3 +224,12 @@ class TestHermitianDilation:
         b = rng.standard_normal((3, 5))
         h = hermitian_dilation(b)
         assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_matricize_rows_matches_matricize_general(order):
+    rng = np.random.default_rng(50 + order)
+    tensors = [random_tensor(rng, (3,) * order) for _ in range(4)]
+    mats = matricize_rows(np.stack([t.data for t in tensors]), order, 3)
+    for t, mat in zip(tensors, mats):
+        assert np.array_equal(mat, matricize_general(t))

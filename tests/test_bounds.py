@@ -9,6 +9,7 @@ from einbern import (
     ApplicabilityError,
     DomainError,
     ModelError,
+    NumericalError,
     Rademacher,
     Subsample,
     SumModel,
@@ -85,6 +86,36 @@ class TestSumModel:
         assert (model.order, model.dim, model.split) == (3, 2, 2)
         assert model.num_summands == 3
         assert not model.is_even_symmetric()
+
+
+    def test_components_are_views_of_one_read_only_stack(self):
+        rng = np.random.default_rng(20)
+        comps = [random_tensor(rng, (2, 2, 2)) for _ in range(4)]
+        model = SumModel.rademacher(comps)
+        assert model.stack.shape == (4, 8)
+        assert not model.stack.flags.writeable
+        for k, c in enumerate(model.components):
+            assert c == comps[k]
+            assert np.shares_memory(c.data, model.stack)
+        with pytest.raises(ValueError):
+            model.stack[0, 0] = 1.0
+
+    def test_even_symmetry_at_other_tolerance(self):
+        defect = 1e-9
+        skew = Tensor((2, 2), [1.0, -defect, defect, 1.0])
+        model = SumModel.rademacher([skew])
+        assert not model.is_even_symmetric()
+        assert model.is_even_symmetric(tol=1e-8)
+
+    def test_overflowing_variance_is_numerical_error(self):
+        big = Tensor((2, 2), [1e200, 0.0, 0.0, 0.0])
+        model = SumModel.rademacher([big])
+        with pytest.raises(NumericalError):
+            variance_even(model)
+        with pytest.raises(NumericalError):
+            variance_general(model)
+        with pytest.raises(NumericalError):
+            build_report(model, "even")
 
 
 class TestUniformBound:

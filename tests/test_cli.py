@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import einbern
 from einbern import (
+    MAX_MODEL_ENTRIES,
     ModelError,
     Subsample,
     Tensor,
@@ -293,6 +298,123 @@ class TestSimulateCommand:
         config = write_json(tmp_path / "exp.json", doc)
         assert main(["simulate", "--config", config,
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+    def test_overflowing_sums_exit_4(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows; the variance statistic overflows first
+        doc = {
+            "schema": 1,
+            "model": {
+                "law": "rademacher",
+                "components": [
+                    {"shape": [2, 2], "entries": [[1, 1, 1e308]]},
+                    {"shape": [2, 2], "entries": [[1, 1, 1e308]]},
+                ],
+            },
+            "trials": 100,
+            "t_grid": [0.0, 1.0],
+            "seed": 0,
+        }
+        config = write_json(tmp_path / "exp.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_asymmetric_trial_sum_exits_2(self, tmp_path, capsys):
+        # both components pass the symmetry check at their own scale; a
+        # sum with mixed signs keeps only the antisymmetric defect
+        doc = {
+            "schema": 1,
+            "model": {
+                "law": "rademacher",
+                "components": [
+                    {"shape": [2, 2],
+                     "entries": [[1, 1, 1.0], [1, 2, 4e-13], [2, 1, -4e-13],
+                                 [2, 2, 1.0]]},
+                    {"shape": [2, 2], "entries": [[1, 1, 1.0], [2, 2, 1.0]]},
+                ],
+            },
+            "trials": 100,
+            "t_grid": [0.0, 1.0],
+            "seed": 0,
+            "theorem": "even",
+        }
+        config = write_json(tmp_path / "exp.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
+        assert "not Einstein-symmetric" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOversizedInputs:
+    def run_bound(self, tmp_path, doc):
+        config = write_json(tmp_path / "model.json", doc)
+        return main(["bound", "--config", config, "--theorem", "general",
+                     "--t-grid", "0:1:3", "--out", str(tmp_path / "x.csv")])
+
+    def test_oversized_generate_exits_2(self, tmp_path, capsys):
+        doc = {"schema": 1, "law": "rademacher",
+               "generate": {"count": 2, "order": 12, "dim": 10, "seed": 0}}
+        assert self.run_bound(tmp_path, doc) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_huge_order_generate_exits_2(self, tmp_path, capsys):
+        doc = {"schema": 1, "law": "rademacher",
+               "generate": {"count": 1, "order": 10**9, "dim": 2, "seed": 0}}
+        assert self.run_bound(tmp_path, doc) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_oversized_inline_components_exit_2(self, tmp_path, capsys):
+        shape = [8] * 8
+        doc = {"schema": 1, "law": "rademacher",
+               "components": [{"shape": shape, "entries": []}] * 2}
+        # one component of 8**8 entries fits; two exceed the budget
+        assert 8**8 <= MAX_MODEL_ENTRIES < 2 * 8**8
+        assert self.run_bound(tmp_path, doc) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_oversized_tensor_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "big.txt").write_text("12 " + "10 " * 12 + "\n")
+        doc = {"schema": 1, "law": "rademacher",
+               "components": [{"file": "big.txt"}]}
+        assert self.run_bound(tmp_path, doc) == 2
+        assert "allowed" in capsys.readouterr().err
+
+    def test_non_positive_mode_size_exits_2(self, tmp_path):
+        doc = {"schema": 1, "law": "rademacher",
+               "components": [{"shape": [2, -2], "entries": []}]}
+        assert self.run_bound(tmp_path, doc) == 2
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so stderr is what a user sees."""
+    src = str(Path(einbern.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "einbern.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_overflowing_grid_span_exits_2_without_warnings(tmp_path):
+    # both ends are finite, their difference is not; a negative start
+    # needs the --t-grid= form, since argparse reads "-1.7e308" as an option
+    config = write_json(tmp_path / "model.json", even_model_doc())
+    proc = run_cli("bound", "--config", config, "--theorem", "even",
+                   "--t-grid=-1.7e308:1.7e308:3", "--out", str(tmp_path / "a.csv"))
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+    doc = TestSimulateCommand().experiment_doc()
+    doc["t_grid"] = {"start": -1.7e308, "stop": 1.7e308, "num": 3}
+    config = write_json(tmp_path / "exp.json", doc)
+    proc = run_cli("simulate", "--config", config, "--out", str(tmp_path / "b.csv"))
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 class TestExample45Command:

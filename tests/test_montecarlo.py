@@ -4,17 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einbern import (
     ApplicabilityError,
     DomainError,
     ExperimentConfig,
     ModelError,
+    NumericalError,
     SumModel,
+    SymmetryError,
     Tensor,
     build_report,
     check_expectation,
+    e_eigenvalues,
     format_results_csv,
+    gen_spectral_norm,
     identity_tensor,
     matricize,
     matricize_general,
@@ -25,6 +31,7 @@ from einbern import (
     trial_rng,
     variance_general,
 )
+from einbern import montecarlo
 
 
 def small_even_model(count=8, seed=0):
@@ -295,3 +302,115 @@ class TestResultsCsv:
             cells = line.split(",")
             assert len(cells) == 6
             assert cells[5] in ("pass", "fail")
+
+
+def scalar_statistic(y: Tensor, kind: str) -> float:
+    """The per-trial statistic through the scalar spectral path."""
+    if kind == "sigma_max":
+        return gen_spectral_norm(y)
+    values = e_eigenvalues(y)
+    if kind == "lambda_max":
+        return float(values[0])
+    return float(max(values[0], -values[-1]))
+
+
+class TestBatchedTrials:
+    @given(
+        kind=st.sampled_from(["lambda_max", "abs_eig", "sigma_max"]),
+        law=st.sampled_from(["rademacher", "subsample"]),
+        count=st.integers(min_value=1, max_value=7),
+        dim=st.integers(min_value=2, max_value=3),
+        sample_size=st.integers(min_value=1, max_value=9),
+        log_scale=st.integers(min_value=-3, max_value=3),
+        trials_at=st.sampled_from(["min", "below", "at", "above", "two"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_matches_scalar(
+        self, kind, law, count, dim, sample_size, log_scale, trials_at, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        if kind == "sigma_max":
+            order = int(rng.choice([1, 3]))
+            comps = [random_tensor(rng, (dim,) * order, scale) for _ in range(count)]
+        else:
+            m = int(rng.integers(1, 3))
+            comps = [random_e_symmetric(rng, m, dim, scale) for _ in range(count)]
+        if law == "rademacher":
+            model = SumModel.rademacher(comps)
+        else:
+            model = SumModel.subsample(comps, sample_size)
+        theorem = "even" if kind == "lambda_max" else "general"
+        assert montecarlo._statistic(model, theorem)[1] == kind
+        chunk = montecarlo._chunk_size(model)
+        trials = {"min": 100, "below": chunk - 1, "at": chunk,
+                  "above": chunk + 1, "two": 2 * chunk + 3}[trials_at]
+        config = ExperimentConfig(
+            model=model, trials=trials, t_grid=(0.0,), seed=seed, theorem=theorem
+        )
+        batched = montecarlo._collect_statistics(config, kind)
+        # relative to the statistic, or to the rounding scale of the sum
+        # (the weights' absolute values add up to K) when it cancels
+        floor = len(comps) * float(np.abs(model.stack).max())
+        for i in range(trials):
+            want = scalar_statistic(sample_sum(model, trial_rng(seed, i)), kind)
+            assert abs(batched[i] - want) <= 1e-12 * max(abs(want), floor)
+
+    def test_overflowing_sums_raise_numerical_error(self):
+        big = Tensor((2, 2), [1e308, 0.0, 0.0, 0.0])
+        model = SumModel.rademacher([big, big])
+        config = ExperimentConfig(
+            model=model, trials=100, t_grid=(0.0,), seed=0, theorem="even"
+        )
+        # equal signs double an entry past the largest float
+        with pytest.raises(NumericalError, match="non-finite"):
+            montecarlo._collect_statistics(config, "lambda_max")
+
+    def test_asymmetric_sum_raises_symmetry_error(self):
+        # each component passes the symmetry check at its own scale, but
+        # mixed signs cancel the symmetric part and leave the defect
+        defect = 4e-13
+        skew = Tensor((2, 2), [1.0, -defect, defect, 1.0])
+        model = SumModel.rademacher([skew, identity_tensor(1, 2)])
+        assert model.is_even_symmetric()
+        config = ExperimentConfig(
+            model=model, trials=100, t_grid=(0.0,), seed=0, theorem="even"
+        )
+        with pytest.raises(SymmetryError):
+            run_experiment(config)
+        with pytest.raises(SymmetryError):
+            for i in range(100):
+                e_eigenvalues(sample_sum(model, trial_rng(0, i)))
+
+    def test_chunk_respects_byte_budget(self):
+        rng = np.random.default_rng(15)
+        model = SumModel.rademacher([random_tensor(rng, (3,) * 8)])
+        chunk = montecarlo._chunk_size(model)
+        assert 8 * chunk * model.stack.shape[1] <= montecarlo._CHUNK_BYTES
+        assert montecarlo._chunk_size(small_even_model()) == montecarlo._CHUNK_TRIALS
+
+
+@given(
+    count=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**16),
+    slack=st.floats(min_value=0.0, max_value=40.0),
+    extra=st.floats(min_value=0.0, max_value=40.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_verdicts_monotone_in_slack(count, seed, slack, extra):
+    # equal rank-one components: the statistic is max(sum of signs, 0),
+    # whose upper tail comes close enough to the bound that slacks above
+    # about 15 fail some rows
+    proj = Tensor((2, 2), [1.0, 0.0, 0.0, 0.0])
+    model = SumModel.rademacher([proj] * count)
+    grid = tuple(np.linspace(0.5, count, 8))
+    rows = []
+    for s in (slack, slack + extra):
+        config = ExperimentConfig(
+            model=model, trials=100, t_grid=grid, seed=seed, confidence_slack=s
+        )
+        rows.append(run_experiment(config).rows)
+    # a row that passes at the larger slack passes at the smaller one
+    for loose, tight in zip(*rows):
+        assert loose.passed or not tight.passed

@@ -32,6 +32,8 @@ from einbern import (
     random_fully_symmetric,
     random_tensor,
     sym_eig,
+    sym_eigvals,
+    top_singular_values,
     transpose_even,
     z_eigen_max,
     apply_power,
@@ -300,3 +302,30 @@ class TestZEigenMax:
     def test_zero_tensor(self):
         est = z_eigen_max(Tensor((2, 2), np.zeros(4)), restarts=3, iters=50)
         assert est.value == 0.0 and est.residual == 0.0
+
+
+class TestBatchedSpectra:
+    def test_sym_eigvals_matches_sym_eig(self):
+        rng = np.random.default_rng(60)
+        mats = np.stack([matricize(random_e_symmetric(rng, 2, 2)) for _ in range(5)])
+        values = sym_eigvals(mats)
+        for mat, got in zip(mats, values):
+            want = sym_eig(mat).values[::-1]
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_top_singular_values_match_gen_spectral_norm(self, order):
+        rng = np.random.default_rng(61 + order)
+        tensors = [random_tensor(rng, (2,) * order) for _ in range(5)]
+        got = top_singular_values(np.stack([matricize_general(t) for t in tensors]))
+        for t, value in zip(tensors, got):
+            assert value == pytest.approx(gen_spectral_norm(t), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_stack_is_numerical_error(self, bad):
+        mats = np.zeros((3, 2, 2))
+        mats[1, 0, 0] = bad
+        with pytest.raises(NumericalError):
+            sym_eigvals(mats)
+        with pytest.raises(NumericalError):
+            top_singular_values(mats)

@@ -15,6 +15,7 @@ from einbern import (
     apply_power,
     apply_power_map,
     delinearize,
+    e_symmetric_rows,
     format_tensor_text,
     hadamard,
     identity_tensor,
@@ -204,6 +205,21 @@ class TestSymmetryPredicates:
         s = random_fully_symmetric(rng, 4, 3)
         assert is_fully_symmetric(s)
         assert not is_fully_symmetric(random_tensor(rng, (3, 3, 3, 3)))
+
+
+    def test_rows_match_scalar_check(self):
+        rng = np.random.default_rng(40)
+        tensors = [random_e_symmetric(rng, 2, 2) for _ in range(3)]
+        tensors += [random_tensor(rng, (2, 2, 2, 2)) for _ in range(3)]
+        tensors.append(Tensor((2, 2, 2, 2), np.zeros(16)))
+        rows = np.stack([t.data for t in tensors])
+        want = [is_e_symmetric(t) for t in tensors]
+        assert e_symmetric_rows(rows).tolist() == want
+        assert want == [True] * 3 + [False] * 3 + [True]
+
+    def test_rows_must_unfold_square(self):
+        with pytest.raises(ShapeError):
+            e_symmetric_rows(np.zeros((2, 8)))
 
 
 class TestOuterPower:
