@@ -28,6 +28,7 @@ __all__ = [
     "SumModel",
     "GeneralVariance",
     "TailBound",
+    "THEOREMS",
     "BernsteinReport",
     "uniform_bound_L",
     "einstein_second_moment",
@@ -42,6 +43,10 @@ __all__ = [
     "format_report",
     "format_tail_csv",
 ]
+
+# Theorem names a report or an experiment may request; "auto" picks
+# "even" when it applies and "general" otherwise
+THEOREMS = ("auto", "even", "general", "intrinsic")
 
 # E-PSD ordering checks accept eigenvalues down to -PSD_TOL times the norm
 PSD_TOL = 1e-10
@@ -360,10 +365,14 @@ def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
 class BernsteinReport:
     """Bound values for one theorem applied to one model.
 
-    ``dim_factor`` is the ambient dimensional factor (d**m for the
-    even-order bound, d**m + d**(N-m) otherwise); ``tail_factor`` is the
-    multiplier actually used in the tail curve, which for the intrinsic
-    bound is 4 times the intrinsic dimension ``dv``.
+    A report is fixed by the theorem, the order N, the dimension d, the
+    split m, L, nu and, for the intrinsic bound, the intrinsic dimension
+    ``dv``; everything else is derived here.  ``dim_factor`` is the
+    ambient dimensional factor (d**m for the even-order bound,
+    d**m + d**(N-m) otherwise); ``tail_factor`` is the multiplier
+    actually used in the tail curve, which for the intrinsic bound is
+    4 dv.  The intrinsic bound has no mean bound and holds only for
+    t >= sqrt(nu) + L/3.
     """
 
     theorem: str
@@ -372,25 +381,51 @@ class BernsteinReport:
     split: int
     L: float
     nu: float
-    dim_factor: float
-    tail_factor: float
+    dim_factor: float = field(init=False)
+    tail_factor: float = field(init=False)
     dv: float | None = None
-    expectation_bound: float | None = None
-    tail_domain_min: float = 0.0
+    expectation_bound: float | None = field(init=False)
+    tail_domain_min: float = field(init=False)
 
     def __post_init__(self):
+        if self.theorem not in THEOREMS[1:]:
+            raise DomainError(f"unknown theorem {self.theorem!r}")
+        if (self.theorem == "intrinsic") != (self.dv is not None):
+            raise DomainError("the intrinsic bound, and only it, takes dv")
         if not (math.isfinite(self.nu) and math.isfinite(self.L)):
             raise NumericalError(f"non-finite bound quantity: L={self.L}, nu={self.nu}")
         if self.nu < 0 or self.L < 0:
             raise DomainError("nu and L must be nonnegative")
-        if self.dv is not None and self.dv > self.dim_factor * (1 + 1e-9):
-            raise NumericalError(
-                f"intrinsic dimension {self.dv} exceeds the ambient factor "
-                f"{self.dim_factor}"
-            )
+        n_order, d, m = self.order, self.dim, self.split
+        if self.theorem == "even":
+            if d < 2:
+                raise ApplicabilityError("the even-order mean bound needs d >= 2")
+            dim_factor = float(d**m)
+            mean = expectation_bound(self.nu, self.L, m, d)
+        else:
+            dim_factor = float(d**m + d ** (n_order - m))
+            mean = expectation_bound_general(self.nu, self.L, n_order, d, m)
+        tail_factor, domain_min = dim_factor, 0.0
+        if self.theorem == "intrinsic":
+            if self.dv > dim_factor * (1 + 1e-9):
+                raise NumericalError(
+                    f"intrinsic dimension {self.dv} exceeds the ambient factor "
+                    f"{dim_factor}"
+                )
+            tail_factor, mean = 4.0 * self.dv, None
+            domain_min = math.sqrt(self.nu) + self.L / 3.0
+        object.__setattr__(self, "dim_factor", dim_factor)
+        object.__setattr__(self, "tail_factor", tail_factor)
+        object.__setattr__(self, "expectation_bound", mean)
+        object.__setattr__(self, "tail_domain_min", domain_min)
+
+    def in_domain(self, t: float) -> bool:
+        """Whether the tail bound holds at t; 1e-12 of slack absorbs the
+        rounding of grids that start at the threshold."""
+        return t >= self.tail_domain_min - 1e-12
 
     def tail(self, t: float) -> TailBound:
-        if t < self.tail_domain_min - 1e-12:
+        if not self.in_domain(t):
             raise DomainError(
                 f"t={t} is below the bound's validity threshold "
                 f"{self.tail_domain_min}"
@@ -448,8 +483,7 @@ def intrinsic_report(
         _check_dominates(v_inner, exact_inner, "inner variance bound")
 
     m = v_outer.order // 2
-    rest = v_inner.order // 2
-    order = m + rest
+    order = m + v_inner.order // 2
     d = v_outer.cubic_dim if v_outer.order else v_inner.cubic_dim
     nu = float(max(vals_outer[0], vals_inner[0]))
     if nu <= 0.0:
@@ -472,25 +506,12 @@ def intrinsic_report(
             f"{dv_matrix} from the block matrix"
         )
 
-    dim_factor = float(d**m + d ** (order - m))
-    return BernsteinReport(
-        theorem="intrinsic",
-        order=order,
-        dim=d,
-        split=m,
-        L=float(L),
-        nu=nu,
-        dim_factor=dim_factor,
-        tail_factor=4.0 * dv,
-        dv=dv,
-        expectation_bound=None,
-        tail_domain_min=math.sqrt(nu) + L / 3.0,
-    )
+    return BernsteinReport("intrinsic", order, d, m, float(L), nu, dv)
 
 
 def resolve_theorem(model: SumModel, requested: str = "auto") -> str:
     """Pick the bound to apply, validating applicability."""
-    if requested not in ("auto", "even", "general", "intrinsic"):
+    if requested not in THEOREMS:
         raise DomainError(f"unknown theorem {requested!r}")
     if requested == "auto":
         return "even" if model.is_even_symmetric() else "general"
@@ -505,43 +526,14 @@ def resolve_theorem(model: SumModel, requested: str = "auto") -> str:
 def build_report(model: SumModel, theorem: str = "auto") -> BernsteinReport:
     """Compute every bound quantity of the chosen theorem for a model."""
     theorem = resolve_theorem(model, theorem)
-    n_order = model.order
-    d = model.dim
-    m = model.split
-
+    shape = (model.order, model.dim, model.split)
     if theorem == "even":
-        if d < 2:
-            raise ApplicabilityError("the even-order mean bound needs d >= 2")
-        L = uniform_bound_L(model, "even")
-        nu = variance_even(model)
-        dim_factor = float(d**m)
-        return BernsteinReport(
-            theorem="even",
-            order=n_order,
-            dim=d,
-            split=m,
-            L=L,
-            nu=nu,
-            dim_factor=dim_factor,
-            tail_factor=dim_factor,
-            expectation_bound=expectation_bound(nu, L, m, d),
-        )
-
+        return BernsteinReport("even", *shape, uniform_bound_L(model, "even"),
+                               variance_even(model))
     L = uniform_bound_L(model, "general")
     gv = variance_general(model)
     if theorem == "general":
-        dim_factor = float(d**m + d ** (n_order - m))
-        return BernsteinReport(
-            theorem="general",
-            order=n_order,
-            dim=d,
-            split=m,
-            L=L,
-            nu=gv.nu,
-            dim_factor=dim_factor,
-            tail_factor=dim_factor,
-            expectation_bound=expectation_bound_general(gv.nu, L, n_order, d, m),
-        )
+        return BernsteinReport("general", *shape, L, gv.nu)
     return intrinsic_report(gv.outer, gv.inner, L)
 
 

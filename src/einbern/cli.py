@@ -10,16 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from .algebra import matricize
-from .bounds import build_report, format_report, format_tail_csv
+from .bounds import THEOREMS, build_report, format_report, format_tail_csv
 from .config import grid_points, load_experiment, load_model
 from .errors import ApplicabilityError, EinbernError, ModelError, NumericalError
 from .montecarlo import check_expectation, format_results_csv, run_experiment
-from .spectral import e_eigenvalues, is_e_psd, z_eigen_max
-from .tensor import apply_power, psd_counterexample_tensor
-from .verify import run_suite, suite_names
+from .verify import run_suite, suite_names, worked_example
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,6 +33,16 @@ def _grid_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
 
 
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="einbern",
@@ -54,16 +59,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", required=True, choices=[*suite_names(), "all"]
     )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--cases", type=int, default=100)
+    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_verify.add_argument("--cases", type=_int_at_least(1), default=100)
 
     p_bound = sub.add_parser(
         "bound", help="evaluate one bound for a model and write its tail curve"
     )
     p_bound.add_argument("--config", required=True, help="model JSON document")
-    p_bound.add_argument(
-        "--theorem", required=True, choices=["even", "general", "intrinsic"]
-    )
+    p_bound.add_argument("--theorem", required=True, choices=THEOREMS[1:])
     p_bound.add_argument(
         "--t-grid", required=True, type=_grid_spec, metavar="a:b:n",
         help="linspace of t values, e.g. 0:5:21; a negative start needs "
@@ -100,7 +103,7 @@ def cmd_bound(args) -> int:
     report = build_report(model, args.theorem)
     grid = args.t_grid
     if report.tail_domain_min > 0:
-        kept = tuple(t for t in grid if t >= report.tail_domain_min - 1e-12)
+        kept = tuple(t for t in grid if report.in_domain(t))
         if len(kept) < len(grid):
             print(
                 f"warning: dropped {len(grid) - len(kept)} grid points below "
@@ -136,61 +139,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_example45(args) -> int:
-    t = psd_counterexample_tensor()
-    ok = True
-
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    neg = 0.0
-    for _ in range(1000):
-        x = rng.standard_normal(3)
-        q = apply_power(t, x)
-        worst = max(worst, abs(q - 6.0 * x[0] ** 2 * x[1] ** 2))
-        neg = min(neg, q)
-    form_ok = worst <= 1e-12 and neg >= -1e-12
-    ok &= form_ok
-    print(
-        f"quartic form equals 6*x1^2*x2^2 on 1000 samples: "
-        f"max deviation {worst:.2e}, min value {neg:.2e} "
-        f"({'ok' if form_ok else 'MISMATCH'})"
-    )
-
-    y = np.zeros(9)
-    y[0], y[4] = 1.0, -1.0
-    quad = float(y @ matricize(t) @ y)
-    quad_ok = quad == -2.0
-    ok &= quad_ok
-    print(
-        f"quadratic form of the unfolding at y=(1,0,0,0,-1,0,0,0,0): {quad:g} "
-        f"({'ok' if quad_ok else 'MISMATCH'})"
-    )
-
-    values = e_eigenvalues(t)
-    lam_max, lam_min = float(values[0]), float(values[-1])
-    spec_ok = abs(lam_max - 2.0) <= 1e-10 and abs(lam_min + 1.0) <= 1e-10
-    ok &= spec_ok
-    print(
-        f"extreme Einstein eigenvalues: max {lam_max:g}, min {lam_min:g} "
-        f"({'ok' if spec_ok else 'MISMATCH'})"
-    )
-
-    epsd = is_e_psd(t)
-    ok &= not epsd
-    print(f"is_e_psd: {epsd} (expected False)")
-
-    est = z_eigen_max(t, restarts=20, iters=500, seed=0)
-    z_ok = abs(est.value - 1.5) <= 1e-6
-    ok &= z_ok
-    print(
-        f"largest Z-eigenvalue estimate: {est.value:.9f} "
-        f"(residual {est.residual:.2e}, {'ok' if z_ok else 'MISMATCH'})"
-    )
-
-    print(
-        "conclusion: PSD but not E-PSD"
-        if ok
-        else "conclusion: checks failed"
-    )
+    facts = worked_example()
+    for fact in facts:
+        print(fact.detail)
+    ok = all(fact.passed for fact in facts)
+    print("conclusion: PSD but not E-PSD" if ok else "conclusion: checks failed")
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -64,10 +64,21 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _int(value, where: str) -> int:
+def _int(value, where: str, most: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelError(f"{where} must be an integer, got {value!r}")
+    if value > most:
+        raise ModelError(f"{where} must be at most {most}, got {value}")
     return value
+
+
+def _float(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ModelError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ModelError(f"{where} is too large for a float") from exc
 
 
 def _over_budget(what: str) -> ModelError:
@@ -102,7 +113,7 @@ def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> T
             )
         idx = tuple(_int(i, "entry index") for i in entry[:-1])
         try:
-            data[linearize(idx, shape) - 1] = float(entry[-1])
+            data[linearize(idx, shape) - 1] = _float(entry[-1], "entry value")
         except IndexError as exc:
             raise ModelError(str(exc)) from exc
     return Tensor(shape, data, copy=False)
@@ -115,9 +126,11 @@ def _generate_components(spec: dict) -> list:
     dim = _int(_require(spec, "dim", "generate"), "dim")
     seed = _int(_require(spec, "seed", "generate"), "seed")
     kind = spec.get("kind", "general")
-    scale = float(spec.get("scale", 1.0))
+    scale = _float(spec.get("scale", 1.0), "scale")
     if count < 1 or order < 1 or dim < 1:
         raise ModelError("count, order and dim must be positive")
+    if seed < 0:
+        raise ModelError(f"seed must be nonnegative, got {seed}")
     # past order 64 any dim > 1 is over budget; the cap keeps the
     # integer power small
     if count * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
@@ -167,7 +180,9 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
                 if key in doc:
                     raise ModelError(f"{key!r} is only valid for the subsample law")
             return SumModel.rademacher(components)
-        sample_size = _int(_require(doc, "sample_size", "model"), "sample_size")
+        sample_size = _int(
+            _require(doc, "sample_size", "model"), "sample_size", MAX_MODEL_ENTRIES
+        )
         with_replacement = doc.get("with_replacement", True)
         if not isinstance(with_replacement, bool):
             raise ModelError("with_replacement must be a boolean")
@@ -181,11 +196,14 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
 def grid_points(start: float, stop: float, num: int) -> tuple:
     """``num`` evenly spaced points from ``start`` to ``stop``.
 
-    Both ends and the span between them must be finite; a span that
-    overflows is refused before numpy computes anything from it.
+    Both ends and the span between them must be finite, and ``num`` at
+    most MAX_MODEL_ENTRIES; other grids are refused before numpy
+    computes or allocates anything.
     """
     if num < 1:
         raise ModelError("a grid needs at least one point")
+    if num > MAX_MODEL_ENTRIES:
+        raise ModelError(f"num must be at most {MAX_MODEL_ENTRIES}, got {num}")
     if not all(math.isfinite(x) for x in (start, stop, stop - start)):
         raise ModelError(
             f"grid ends and their difference must be finite, got {start} to {stop}"
@@ -196,23 +214,23 @@ def grid_points(start: float, stop: float, num: int) -> tuple:
 def _grid_from_spec(spec) -> tuple:
     if isinstance(spec, dict):
         _check_keys(spec, _GRID_KEYS, "t_grid")
-        start = float(_require(spec, "start", "t_grid"))
-        stop = float(_require(spec, "stop", "t_grid"))
+        start = _float(_require(spec, "start", "t_grid"), "t_grid start")
+        stop = _float(_require(spec, "stop", "t_grid"), "t_grid stop")
         num = _int(_require(spec, "num", "t_grid"), "num")
         return grid_points(start, stop, num)
     if not isinstance(spec, list) or not spec:
         raise ModelError("t_grid must be a non-empty list or a start/stop/num object")
-    return tuple(float(t) for t in spec)
+    return tuple(_float(t, "t_grid value") for t in spec)
 
 
 def experiment_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     """Build an ExperimentConfig from the body of an experiment document."""
     _check_keys(doc, _EXPERIMENT_KEYS, "experiment")
     model = model_from_dict(_require(doc, "model", "experiment"), base_dir)
-    trials = _int(_require(doc, "trials", "experiment"), "trials")
+    trials = _int(_require(doc, "trials", "experiment"), "trials", MAX_MODEL_ENTRIES)
     grid = _grid_from_spec(_require(doc, "t_grid", "experiment"))
     seed = _int(_require(doc, "seed", "experiment"), "seed")
-    slack = float(doc.get("confidence_slack", 3.0))
+    slack = _float(doc.get("confidence_slack", 3.0), "confidence_slack")
     theorem = doc.get("theorem", "auto")
     return ExperimentConfig(
         model=model,

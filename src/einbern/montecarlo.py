@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import matricize_rows
-from .bounds import BernsteinReport, Rademacher, Subsample, SumModel, build_report
-from .errors import (
-    ApplicabilityError,
-    DomainError,
-    ModelError,
-    NumericalError,
-    SymmetryError,
+from .bounds import (
+    THEOREMS,
+    BernsteinReport,
+    Rademacher,
+    Subsample,
+    SumModel,
+    build_report,
 )
+from .errors import ApplicabilityError, ModelError, NumericalError, SymmetryError
 from .spectral import sym_eigvals, top_singular_values
 from .tensor import Tensor, e_symmetric_rows
 
@@ -82,7 +83,7 @@ class ExperimentConfig:
                 f"confidence_slack must be finite and nonnegative, "
                 f"got {self.confidence_slack}"
             )
-        if self.theorem not in ("auto", "even", "general", "intrinsic"):
+        if self.theorem not in THEOREMS:
             raise ModelError(f"unknown theorem {self.theorem!r}")
 
 
@@ -226,25 +227,20 @@ def run_experiment(
     chunks, one after another.
     """
     report = build_report(config.model, config.theorem)
-    for t in config.t_grid:
-        if t < report.tail_domain_min - 1e-12:
-            raise DomainError(
-                f"t={t} lies below the bound's validity threshold "
-                f"{report.tail_domain_min}"
-            )
+    # a t below the validity threshold raises before any trial runs
+    tails = [report.tail(t) for t in config.t_grid]
     _resolve_threads(threads)
     name, kind = _statistic(config.model, report.theorem)
     stats = _collect_statistics(config, kind)
 
     trials = config.trials
     rows = []
-    for t in config.t_grid:
+    for t, (raw, clamped) in zip(config.t_grid, tails):
         freq = float(np.count_nonzero(stats >= t)) / trials
         upper = freq + config.confidence_slack * math.sqrt(
             freq * (1.0 - freq) / trials
         ) + 1.0 / trials
         upper = min(1.0, upper)
-        raw, clamped = report.tail(t)
         # a bound of exactly zero only occurs for deterministic zero sums;
         # zero observed frequency is then exact, not a sampling estimate,
         # so the 1/trials correction must not fail it

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra, bounds, spectral, tensor
 
-__all__ = ["PropertyResult", "SUITES", "run_suite", "suite_names"]
+__all__ = ["PropertyResult", "SUITES", "run_suite", "suite_names", "worked_example"]
 
 
 @dataclass(frozen=True)
@@ -394,33 +394,50 @@ def _prop_epsd_sampled_psd(seed, cases):
     return _result("epsd-implies-sampled-psd", worst, 1e-10)
 
 
-def _prop_counterexample(seed, cases):
+def worked_example(seed: int = 0) -> list:
+    """The facts of the paper's Example 4.5, one result per fact.
+
+    The order-4, dimension-3 tensor has the quartic form 6 x1^2 x2^2 >= 0,
+    so it is PSD, but its unfolding has the quadratic form -2 and the
+    Einstein spectrum (2, 1, 0 x6, -1), so it is not E-PSD; its largest
+    Z-eigenvalue is 1.5.  Form samples come from ``default_rng(seed)``.
+    """
     a = tensor.psd_counterexample_tensor()
+    xs = np.random.default_rng(seed).standard_normal((1000, 3))
+    forms = np.array([tensor.apply_power(a, x) for x in xs])
+    worst = float(np.abs(forms - 6.0 * xs[:, 0] ** 2 * xs[:, 1] ** 2).max())
+    neg = min(float(forms.min()), 0.0)
+    y = np.zeros(9)
+    y[[0, 4]] = 1.0, -1.0
+    quad = float(y @ algebra.matricize(a) @ y)
     values = spectral.e_eigenvalues(a)
-    expected = np.array([2.0, 1.0, 0, 0, 0, 0, 0, 0, -1.0])
-    err = float(np.abs(values - expected).max())
-    if err > 1e-10:
-        return PropertyResult("psd-counterexample", False, f"spectrum off by {err:.1e}")
-    if spectral.is_e_psd(a):
-        return PropertyResult("psd-counterexample", False, "should not be E-PSD")
-    rng = _rng(seed, 29)
-    worst = 0.0
-    for _ in range(1000):
-        x = rng.standard_normal(3)
-        q = tensor.apply_power(a, x)
-        worst = max(worst, abs(q - 6 * x[0] ** 2 * x[1] ** 2))
-        if q < -1e-12:
-            return PropertyResult("psd-counterexample", False, "negative form value")
+    spec_err = float(np.abs(values - [2.0, 1.0, 0, 0, 0, 0, 0, 0, -1.0]).max())
+    epsd = spectral.is_e_psd(a)
     est = spectral.z_eigen_max(a, restarts=20, iters=500, seed=seed)
-    if abs(est.value - 1.5) > 1e-6:
-        return PropertyResult(
-            "psd-counterexample", False, f"z estimate {est.value} is not 1.5"
-        )
-    return PropertyResult(
-        "psd-counterexample",
-        True,
-        f"spectrum, form and z-estimate reproduced (form err {worst:.1e})",
-    )
+    facts = [
+        ("quartic-form", worst <= 1e-12 and neg >= -1e-12,
+         f"quartic form equals 6*x1^2*x2^2 on 1000 samples: "
+         f"max deviation {worst:.2e}, min value {neg:.2e}"),
+        ("unfolding-quadratic-form", quad == -2.0,
+         f"quadratic form of the unfolding at y=(1,0,0,0,-1,0,0,0,0): {quad:g}"),
+        ("einstein-spectrum", spec_err <= 1e-10,
+         f"Einstein spectrum (2, 1, 0 x6, -1): max {values[0]:g}, "
+         f"min {values[-1]:g}, max err {spec_err:.1e}"),
+        ("not-e-psd", not epsd, f"is_e_psd: {epsd}, expected False"),
+        ("z-estimate", abs(est.value - 1.5) <= 1e-6,
+         f"largest Z-eigenvalue estimate: {est.value:.9f}, "
+         f"residual {est.residual:.2e}"),
+    ]
+    return [
+        PropertyResult(name, ok, f"{text} ({'ok' if ok else 'MISMATCH'})")
+        for name, ok, text in facts
+    ]
+
+
+def _prop_counterexample(seed, cases):
+    failed = [f.name for f in worked_example(seed) if not f.passed]
+    detail = f"failed: {', '.join(failed)}" if failed else "worked example reproduced"
+    return PropertyResult("psd-counterexample", not failed, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from einbern import (
     ApplicabilityError,
+    BernsteinReport,
     DomainError,
     ModelError,
     NumericalError,
@@ -439,3 +440,73 @@ class TestReports:
         model = SumModel.rademacher([identity_tensor(1, 1)])
         with pytest.raises(ApplicabilityError):
             build_report(model, "even")
+
+
+class TestDerivedReportFields:
+    # (theorem, N, d, m, L, nu, dv) -> dim_factor, tail_factor, mean, domain
+    @pytest.mark.parametrize(
+        "theorem, order, dim, split, L, nu, dv",
+        [
+            ("even", 4, 3, 2, 1.5, 7.0, None),
+            ("even", 2, 2, 1, 0.0, 0.0, None),
+            ("general", 3, 2, 2, 2.5, 25.0, None),
+            ("general", 5, 3, 3, 0.25, 1.0, None),
+            ("intrinsic", 3, 2, 2, 2.5, 25.0, 3.7),
+            ("intrinsic", 4, 3, 2, 1.0, 4.0, 18.0),
+        ],
+    )
+    def test_closed_forms(self, theorem, order, dim, split, L, nu, dv):
+        report = BernsteinReport(theorem, order, dim, split, L, nu, dv)
+        if theorem == "even":
+            factor = float(dim**split)
+            logdim = split * math.log(dim)
+        else:
+            factor = float(dim**split + dim ** (order - split))
+            logdim = math.log(factor)
+        assert report.dim_factor == factor
+        if theorem == "intrinsic":
+            assert report.tail_factor == 4.0 * dv
+            assert report.expectation_bound is None
+            assert report.tail_domain_min == math.sqrt(nu) + L / 3.0
+        else:
+            assert report.tail_factor == factor
+            assert report.expectation_bound == pytest.approx(
+                math.sqrt(2.0 * nu * logdim) + L * logdim / 3.0, rel=1e-15
+            )
+            assert report.tail_domain_min == 0.0
+
+    @pytest.mark.parametrize("theorem", ["even", "general", "intrinsic"])
+    def test_build_report_is_fixed_by_its_inputs(self, theorem):
+        rng = np.random.default_rng(21)
+        model = SumModel.rademacher([random_e_symmetric(rng, 2, 2) for _ in range(6)])
+        report = build_report(model, theorem)
+        again = BernsteinReport(report.theorem, report.order, report.dim,
+                                report.split, report.L, report.nu, report.dv)
+        assert again == report
+
+    def test_derived_fields_are_not_inputs(self):
+        with pytest.raises(TypeError):
+            BernsteinReport("general", 3, 2, 2, 1.0, 1.0, dim_factor=6.0)
+
+    def test_construction_guards(self):
+        with pytest.raises(DomainError):
+            BernsteinReport("auto", 3, 2, 2, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            BernsteinReport("general", 3, 2, 2, 1.0, 1.0, dv=2.0)
+        with pytest.raises(DomainError):
+            BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0)
+        with pytest.raises(NumericalError):
+            BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0, dv=7.0)
+        with pytest.raises(ApplicabilityError):
+            BernsteinReport("even", 2, 1, 1, 1.0, 1.0)
+
+    def test_in_domain_slack(self):
+        report = BernsteinReport("intrinsic", 3, 2, 2, 2.5, 25.0, 3.7)
+        edge = report.tail_domain_min
+        assert report.in_domain(edge) and report.in_domain(edge - 5e-13)
+        assert not report.in_domain(edge - 2e-12)
+        assert report.tail(edge - 5e-13).raw == pytest.approx(
+            report.tail(edge).raw, rel=1e-9
+        )
+        with pytest.raises(DomainError):
+            report.tail(edge - 2e-12)

@@ -16,14 +16,19 @@ from hypothesis import strategies as st
 import einbern
 from einbern import (
     MAX_MODEL_ENTRIES,
+    DomainError,
+    ExperimentConfig,
     ModelError,
     Subsample,
     Tensor,
+    build_report,
     load_experiment,
     load_model,
+    run_experiment,
     write_tensor_text,
 )
 from einbern.cli import main
+from einbern.verify import worked_example
 
 
 def write_json(path, doc):
@@ -158,6 +163,17 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_no_cases_is_usage_error(self, capsys, cases):
+        assert main(["verify", "--suite", "bounds", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert "--cases" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["verify", "--suite", "bounds", "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestBoundCommand:
@@ -426,6 +442,44 @@ class TestExample45Command:
         assert "is_e_psd: False" in out
         assert "PSD but not E-PSD" in out
 
+    def test_prints_the_worked_example_details(self, capsys):
+        assert main(["example45"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == [fact.detail for fact in worked_example()]
+        assert lines[-1] == "conclusion: PSD but not E-PSD"
+
+
+class TestValidityThreshold:
+    """The intrinsic bound's threshold, with its 1e-12 slack, is applied
+    alike by the report, by `bound` and by the Monte Carlo harness."""
+
+    def test_slack_accepted_everywhere(self, tmp_path, capsys):
+        config = write_json(tmp_path / "model.json", even_model_doc())
+        model = load_model(config)
+        report = build_report(model, "intrinsic")
+        edge = report.tail_domain_min
+        inside, outside = edge - 5e-13, edge - 2e-12
+        assert inside < edge
+
+        assert report.tail(inside).raw > 0.0
+        with pytest.raises(DomainError):
+            report.tail(outside)
+
+        out = tmp_path / "tail.csv"
+        for t, rows in ((inside, 1), (outside, 0)):
+            assert main(["bound", "--config", config, "--theorem", "intrinsic",
+                         f"--t-grid={t!r}:{t!r}:1", "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) == 1 + rows
+            assert ("dropped" in capsys.readouterr().err) == (rows == 0)
+
+        experiment = ExperimentConfig(model=model, trials=100, t_grid=(inside,),
+                                      seed=0, theorem="intrinsic")
+        assert run_experiment(experiment).rows[0].t == inside
+        with pytest.raises(DomainError):
+            run_experiment(ExperimentConfig(model=model, trials=100,
+                                            t_grid=(outside,), seed=0,
+                                            theorem="intrinsic"))
+
 
 class TestShippedDemos:
     demo_dir = __import__("pathlib").Path(__file__).resolve().parent.parent / "demo"
@@ -504,3 +558,60 @@ def test_no_non_finite_input_passes(where, index, value):
         assert main(["simulate", "--config", config, "--out", str(out)]) != 0
         rows = out.read_text().splitlines()[1:] if out.exists() else []
         assert not any(row.endswith(",pass") for row in rows)
+
+
+def field_test_doc():
+    """A valid small experiment with a generated, subsampled model."""
+    doc = small_experiment_doc()
+    doc["model"] = {"law": "subsample", "sample_size": 3,
+                    "generate": {"count": 4, "order": 2, "dim": 2, "seed": 0}}
+    doc["confidence_slack"] = 3.0
+    return doc
+
+
+def test_field_test_doc_is_valid(tmp_path):
+    config = write_json(tmp_path / "exp.json", field_test_doc())
+    assert main(["simulate", "--config", config,
+                 "--out", str(tmp_path / "x.csv")]) == 0
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (["confidence_slack"], "abc"),
+        (["confidence_slack"], True),
+        (["model", "generate", "scale"], "abc"),
+        (["model", "generate", "scale"], 10**400),
+        (["model", "generate", "seed"], -1),
+        (["t_grid"], ["a", 1.0]),
+        (["t_grid"], {"start": "x", "stop": 1.0, "num": 3}),
+        (["t_grid"], {"start": 0.0, "stop": 1.0, "num": 10**13}),
+        (["trials"], 10**13),
+        (["model", "sample_size"], 10**13),
+    ],
+    ids=["slack-string", "slack-bool", "scale-string", "scale-beyond-float",
+         "negative-generate-seed",
+         "grid-string", "grid-start-string", "grid-num-oversized",
+         "trials-oversized", "sample-size-oversized"],
+)
+def test_bad_config_fields_exit_2(tmp_path, capsys, path, value):
+    doc = field_test_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    config = write_json(tmp_path / "exp.json", doc)
+    assert main(["simulate", "--config", config,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oversized_grid_spec_exits_2(tmp_path, capsys):
+    config = write_json(tmp_path / "model.json", even_model_doc())
+    assert main(["bound", "--config", config, "--theorem", "even",
+                 "--t-grid", "0:1:10000000000000",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "at most" in err and "Traceback" not in err
