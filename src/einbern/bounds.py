@@ -7,6 +7,10 @@ the effective rank of the variance statistics instead of the ambient
 dimension.  Every expectation over a randomness law is evaluated by
 exact enumeration of the law's support, never by sampling, so reports
 are deterministic.
+
+``stack_statistics`` is the one place a statistic of a tensor is
+computed: L caps it over every realizable summand, and the Monte Carlo
+lab measures it on sampled sums.
 """
 
 from __future__ import annotations
@@ -18,8 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import matricize, matricize_rows, unmatricize
-from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
-from .spectral import e_eigenvalues, sym_eig, sym_eigvals, top_singular_values
+from .errors import (
+    ApplicabilityError, DomainError, ModelError, NumericalError, SymmetryError
+)
+from .spectral import (
+    e_eigenvalues, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
+)
 from .tensor import DEFAULT_TOL, Tensor, e_symmetric_rows
 
 __all__ = [
@@ -30,6 +38,8 @@ __all__ = [
     "TailBound",
     "THEOREMS",
     "BernsteinReport",
+    "statistic",
+    "stack_statistics",
     "uniform_bound_L",
     "einstein_second_moment",
     "variance_even",
@@ -64,11 +74,10 @@ class Subsample:
     Each of ``sample_size`` independent draws picks one of the n centered
     population tensors and scales it by n / sample_size, matching the
     error of estimating a population total from a uniform subsample.
-    Only drawing with replacement keeps the summands independent.
+    Drawing with replacement keeps the summands independent.
     """
 
     sample_size: int
-    with_replacement: bool = True
 
 
 def _stack_of(comps: tuple) -> np.ndarray:
@@ -118,10 +127,6 @@ class SumModel:
             self, "components", tuple(Tensor(shape, row, copy=False) for row in stack)
         )
         if isinstance(self.law, Subsample):
-            if not self.law.with_replacement:
-                raise ModelError(
-                    "subsampling without replacement breaks independence; refused"
-                )
             if self.law.sample_size < 1:
                 raise ModelError("sample_size must be positive")
             total = stack.sum(axis=0)
@@ -139,9 +144,7 @@ class SumModel:
         return cls(tuple(components), Rademacher())
 
     @classmethod
-    def subsample(
-        cls, population, sample_size: int, with_replacement: bool = True
-    ) -> "SumModel":
+    def subsample(cls, population, sample_size: int) -> "SumModel":
         """Center a population and wrap it in a subsampling model."""
         pop = tuple(population)
         if not pop:
@@ -152,7 +155,7 @@ class SumModel:
         shape = pop[0].shape
         return cls(
             tuple(Tensor(shape, row, copy=False) for row in centered),
-            Subsample(sample_size, with_replacement),
+            Subsample(sample_size),
         )
 
     @property
@@ -185,10 +188,6 @@ class SumModel:
             )
         return self._even_symmetric[tol]
 
-    def unfoldings(self) -> np.ndarray:
-        """(K, d**m, d**(N-m)) view of every component's unfolding."""
-        return matricize_rows(self.stack, self.order, self.dim)
-
 
 def _draw_scale(model: SumModel) -> float:
     """Scale factor applied to each realized component."""
@@ -197,33 +196,65 @@ def _draw_scale(model: SumModel) -> float:
     return 1.0
 
 
+def statistic(model: SumModel, theorem: str) -> tuple:
+    """The name of the statistic a theorem bounds, and its kind.
+
+    "lambda_max" is the largest eigenvalue of the square unfolding;
+    "abs_eig" its largest magnitude, which is the generalized norm of a
+    pairwise-symmetric even-order tensor; "sigma_max" the largest
+    singular value of the general unfolding.
+    """
+    if theorem == "even":
+        return "lambda_e_max", "lambda_max"
+    if model.is_even_symmetric():
+        return "gen_spectral_norm", "abs_eig"
+    return "gen_spectral_norm", "sigma_max"
+
+
+def stack_statistics(model: SumModel, rows: np.ndarray, kind: str) -> np.ndarray:
+    """Statistic ``kind`` of each row of a (B, d**N) stack of tensors
+    shaped like the model's components.
+
+    Non-finite rows or results are a NumericalError; the eigenvalue
+    kinds need E-symmetric rows and raise SymmetryError otherwise.
+    """
+    if not np.isfinite(rows).all():
+        raise NumericalError("a summed tensor has non-finite entries (overflow)")
+    mats = matricize_rows(rows, model.order, model.dim)
+    if kind == "sigma_max":
+        out = top_singular_values(mats)
+    elif not e_symmetric_rows(rows).all():
+        raise SymmetryError("summed tensor is not Einstein-symmetric within tolerance")
+    else:
+        values = sym_eigvals(mats)
+        top = values[:, -1]
+        out = top if kind == "lambda_max" else np.maximum(top, -values[:, 0])
+    if not np.isfinite(out).all():
+        raise NumericalError("a statistic overflowed to a non-finite value")
+    return out
+
+
 def uniform_bound_L(model: SumModel, kind: str | None = None) -> float:
     """Smallest uniform cap on the per-summand statistic.
 
     ``kind`` "even" caps the largest eigenvalue of each realizable
     summand; "general" caps its spectral norm.  Both enumerate the finite
-    realization set exactly: two signs per component under Rademacher,
-    one scaled tensor per population member under subsampling.
+    realization set exactly: two signs per component under Rademacher
+    (so the even cap is the eigenvalue magnitude), one scaled tensor per
+    population member under subsampling.
     """
     if kind is None:
         kind = "even" if model.is_even_symmetric() else "general"
     if kind not in ("even", "general"):
         raise DomainError(f"unknown bound kind {kind!r}")
-    scale = _draw_scale(model)
-    if kind == "even":
-        if not model.is_even_symmetric():
-            raise ApplicabilityError(
-                "eigenvalue cap needs an even order and pairwise-symmetric "
-                "components"
-            )
-        values = sym_eigvals(model.unfoldings())
-        if isinstance(model.law, Rademacher):
-            # both signs occur, so the cap is the eigenvalue magnitude
-            best = max(values[:, -1].max(), -values[:, 0].min())
-        else:
-            best = scale * values[:, -1].max()
-    else:
-        best = scale * top_singular_values(model.unfoldings()).max()
+    if kind == "even" and not model.is_even_symmetric():
+        raise ApplicabilityError(
+            "eigenvalue cap needs an even order and pairwise-symmetric components"
+        )
+    stat = "abs_eig" if isinstance(model.law, Rademacher) else "lambda_max"
+    if kind == "general":
+        stat = "sigma_max"
+    best = _draw_scale(model) * stack_statistics(model, model.stack, stat).max()
     return float(max(best, 0.0))
 
 
@@ -258,9 +289,7 @@ def einstein_second_moment(model: SumModel) -> Tensor:
 def variance_even(model: SumModel) -> float:
     """Variance statistic of the even-order bound: the norm of the
     summed Einstein squares."""
-    moment = einstein_second_moment(model)
-    values = e_eigenvalues(moment)
-    return float(max(values[0], -values[-1]))
+    return e_spectral_norm(einstein_second_moment(model))
 
 
 @dataclass(frozen=True)
@@ -289,18 +318,12 @@ def variance_general(model: SumModel) -> GeneralVariance:
     factor = _draw_scale(model)
     # the columns of H are the length-d**m rows of the reshaped stack
     outer = _gram(model.stack.reshape(-1, d**m), factor)
-    inner = _gram(model.unfoldings().reshape(-1, d ** (order - m)), factor)
+    unfoldings = matricize_rows(model.stack, order, d)
+    inner = _gram(unfoldings.reshape(-1, d ** (order - m)), factor)
     acc_outer = unmatricize(outer, 2 * m, d)
     acc_inner = unmatricize(inner, 2 * (order - m), d)
-    vals_outer = e_eigenvalues(acc_outer)
-    vals_inner = e_eigenvalues(acc_inner)
-    nu = max(
-        vals_outer[0],
-        -vals_outer[-1],
-        vals_inner[0],
-        -vals_inner[-1],
-    )
-    return GeneralVariance(nu=float(nu), outer=acc_outer, inner=acc_inner)
+    nu = max(e_spectral_norm(acc_outer), e_spectral_norm(acc_inner))
+    return GeneralVariance(nu=nu, outer=acc_outer, inner=acc_inner)
 
 
 def expectation_bound(nu: float, L: float, m: int, d: int) -> float:
@@ -448,7 +471,7 @@ def _check_e_psd(t: Tensor, label: str) -> np.ndarray:
 def _check_dominates(bound: Tensor, exact: Tensor, label: str) -> None:
     diff = bound - exact
     values = e_eigenvalues(diff)
-    norm_bound = float(np.abs(e_eigenvalues(bound)).max())
+    norm_bound = e_spectral_norm(bound)
     if values[-1] < -PSD_TOL * max(norm_bound, 1.0):
         raise DomainError(
             f"{label} does not dominate the exact variance statistic "

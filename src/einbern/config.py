@@ -58,9 +58,13 @@ def _check_keys(doc: dict, allowed: set, where: str) -> None:
         raise ModelError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _require(doc: dict, key: str, where: str):
+def _require(doc: dict, key: str, where: str, kind: type = object):
     if key not in doc:
         raise ModelError(f"missing key {key!r} in {where}")
+    if not isinstance(doc[key], kind):
+        raise ModelError(
+            f"{key!r} in {where} must be a {kind.__name__}, got {doc[key]!r}"
+        )
     return doc[key]
 
 
@@ -91,23 +95,23 @@ def _over_budget(what: str) -> ModelError:
 def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> Tensor:
     """One component; it may hold at most ``budget`` entries."""
     if isinstance(spec, dict) and set(spec) == {"file"}:
-        path = spec["file"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        path = _require(spec, "file", "component", str)
         try:
-            return read_tensor_text(path, budget)
+            # an absolute path replaces base_dir in the join
+            return read_tensor_text(os.path.join(base_dir, path), budget)
         except (OSError, ValueError, IndexError) as exc:
             raise ModelError(f"bad tensor file {spec['file']!r}: {exc}") from exc
     _check_keys(spec, _COMPONENT_KEYS, "component")
-    shape = tuple(_int(s, "mode size") for s in _require(spec, "shape", "component"))
-    entries = _require(spec, "entries", "component")
+    shape = _require(spec, "shape", "component", list)
+    shape = tuple(_int(s, "mode size") for s in shape)
+    entries = _require(spec, "entries", "component", list)
     if any(s < 1 for s in shape):
         raise ModelError(f"mode sizes must be positive, got {list(shape)}")
     if math.prod(shape) > budget:
         raise _over_budget(f"a component of shape {list(shape)}")
     data = np.zeros(math.prod(shape) if shape else 1)
     for entry in entries:
-        if len(entry) != len(shape) + 1:
+        if not isinstance(entry, list) or len(entry) != len(shape) + 1:
             raise ModelError(
                 f"entry {entry!r} needs {len(shape)} indices and a value"
             )
@@ -131,25 +135,22 @@ def _generate_components(spec: dict) -> list:
         raise ModelError("count, order and dim must be positive")
     if seed < 0:
         raise ModelError(f"seed must be nonnegative, got {seed}")
+    if kind not in ("general", "e_symmetric", "fully_symmetric"):
+        raise ModelError(f"unknown generate kind {kind!r}")
+    if kind == "e_symmetric" and order % 2:
+        raise ModelError("e_symmetric generation needs an even order")
     # past order 64 any dim > 1 is over budget; the cap keeps the
-    # integer power small
-    if count * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
-        raise _over_budget(f"generating {count} order-{order} dim-{dim} tensors")
+    # integer power small.  A fully symmetric tensor sums all N! mode
+    # permutations of one, so each permutation counts against the budget.
+    perms = math.factorial(min(order, 64)) if kind == "fully_symmetric" else 1
+    if count * perms * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
+        raise _over_budget(f"generating {count} order-{order} dim-{dim} {kind} tensors")
     rng = np.random.default_rng(seed)
-    shape = (dim,) * order
-    out = []
-    for _ in range(count):
-        if kind == "general":
-            out.append(random_tensor(rng, shape, scale))
-        elif kind == "e_symmetric":
-            if order % 2:
-                raise ModelError("e_symmetric generation needs an even order")
-            out.append(random_e_symmetric(rng, order // 2, dim, scale))
-        elif kind == "fully_symmetric":
-            out.append(random_fully_symmetric(rng, order, dim, scale))
-        else:
-            raise ModelError(f"unknown generate kind {kind!r}")
-    return out
+    if kind == "e_symmetric":
+        return [random_e_symmetric(rng, order // 2, dim, scale) for _ in range(count)]
+    if kind == "fully_symmetric":
+        return [random_fully_symmetric(rng, order, dim, scale) for _ in range(count)]
+    return [random_tensor(rng, (dim,) * order, scale) for _ in range(count)]
 
 
 def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
@@ -183,10 +184,14 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
         sample_size = _int(
             _require(doc, "sample_size", "model"), "sample_size", MAX_MODEL_ENTRIES
         )
-        with_replacement = doc.get("with_replacement", True)
-        if not isinstance(with_replacement, bool):
+        # an archived key: drawing with replacement is the only law
+        if not isinstance(doc.get("with_replacement", True), bool):
             raise ModelError("with_replacement must be a boolean")
-        return SumModel.subsample(components, sample_size, with_replacement)
+        if not doc.get("with_replacement", True):
+            raise ModelError(
+                "subsampling without replacement breaks independence; refused"
+            )
+        return SumModel.subsample(components, sample_size)
     except ModelError:
         raise
     except EinbernError as exc:
@@ -248,7 +253,9 @@ def _load_document(path) -> tuple:
             doc = json.load(fh)
     except OSError as exc:
         raise ModelError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # bad JSON or UTF-8, an integer past the conversion limit, or nesting
+    # past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("config document must be a JSON object")

@@ -5,10 +5,11 @@ are order-independent.  Trials run in fixed-size chunks: every trial of
 a chunk draws its weight row (signs, or subsample pick counts scaled by
 n/s) from its own stream, exactly as ``sample_sum`` does; one matrix
 product of the weights with the component stack forms the chunk's
-sums, and one batched LAPACK call gives their statistics.  Chunks
-depend only on the model's shape, so the same seed gives the same
-bytes.  EB_THREADS is still validated but never changes what runs or
-what comes out.
+sums, and ``bounds.stack_statistics``, the kernel L is computed with,
+gives their statistics in one batched LAPACK call.  Chunks depend only
+on the model's shape, so the same seed gives the same bytes.
+EB_THREADS is still validated but never changes what runs or what
+comes out.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import matricize_rows
 from .bounds import (
     THEOREMS,
     BernsteinReport,
@@ -27,10 +27,11 @@ from .bounds import (
     Subsample,
     SumModel,
     build_report,
+    stack_statistics,
+    statistic,
 )
-from .errors import ApplicabilityError, ModelError, NumericalError, SymmetryError
-from .spectral import sym_eigvals, top_singular_values
-from .tensor import Tensor, e_symmetric_rows
+from .errors import ApplicabilityError, ModelError
+from .tensor import Tensor
 
 __all__ = [
     "ExperimentConfig",
@@ -110,21 +111,6 @@ def sample_sum(model: SumModel, rng: np.random.Generator) -> Tensor:
     return Tensor(model.components[0].shape, flat, copy=False)
 
 
-def _statistic(model: SumModel, theorem: str) -> tuple:
-    """The statistic's name and how a chunk computes it.
-
-    "lambda_max" is the largest eigenvalue of the square unfolding;
-    "abs_eig" its largest magnitude, which is the generalized norm of a
-    pairwise-symmetric even-order tensor; "sigma_max" the largest
-    singular value of the general unfolding.
-    """
-    if theorem == "even":
-        return "lambda_e_max", "lambda_max"
-    if model.is_even_symmetric():
-        return "gen_spectral_norm", "abs_eig"
-    return "gen_spectral_norm", "sigma_max"
-
-
 @dataclass(frozen=True)
 class TailRow:
     """Empirical and bound values at one grid point."""
@@ -174,23 +160,8 @@ def _chunk_size(model: SumModel) -> int:
     return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * max(model.stack.shape))))
 
 
-def _chunk_statistics(model: SumModel, sums: np.ndarray, kind: str) -> np.ndarray:
-    """Statistic of each row of a (B, d**N) block of trial sums."""
-    if not np.isfinite(sums).all():
-        raise NumericalError("a trial sum has non-finite entries (overflow)")
-    mats = matricize_rows(sums, model.order, model.dim)
-    if kind == "sigma_max":
-        return top_singular_values(mats)
-    if not e_symmetric_rows(sums).all():
-        raise SymmetryError("trial sum is not Einstein-symmetric within tolerance")
-    values = sym_eigvals(mats)
-    if kind == "lambda_max":
-        return values[:, -1]
-    return np.maximum(values[:, -1], -values[:, 0])
-
-
 def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:
-    """Per-trial statistic, one chunk of trials at a time."""
+    """Per-trial statistic ``kind``, one chunk of trials at a time."""
     model = config.model
     k = len(model.components)
     chunk = _chunk_size(model)
@@ -209,9 +180,7 @@ def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:
                 block[row] = rng.integers(0, 2, size=k) * 2 - 1
         with np.errstate(over="ignore", invalid="ignore"):
             sums = block @ model.stack
-        out[start:stop] = _chunk_statistics(model, sums, kind)
-    if not np.isfinite(out).all():
-        raise NumericalError("a trial statistic overflowed to a non-finite value")
+        out[start:stop] = stack_statistics(model, sums, kind)
     return out
 
 
@@ -230,7 +199,7 @@ def run_experiment(
     # a t below the validity threshold raises before any trial runs
     tails = [report.tail(t) for t in config.t_grid]
     _resolve_threads(threads)
-    name, kind = _statistic(config.model, report.theorem)
+    name, kind = statistic(config.model, report.theorem)
     stats = _collect_statistics(config, kind)
 
     trials = config.trials

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einbern import (
     ApplicabilityError,
@@ -37,6 +39,7 @@ from einbern import (
     variance_even,
     variance_general,
 )
+from einbern.bounds import stack_statistics
 
 
 class TestSumModel:
@@ -62,11 +65,6 @@ class TestSumModel:
     def test_rejects_rectangular(self):
         with pytest.raises(ModelError):
             SumModel.rademacher([Tensor((2, 3), np.zeros(6))])
-
-    def test_without_replacement_refused(self):
-        pop = [identity_tensor(1, 2), -1.0 * identity_tensor(1, 2)]
-        with pytest.raises(ModelError):
-            SumModel.subsample(pop, 2, with_replacement=False)
 
     def test_subsample_centering(self):
         rng = np.random.default_rng(0)
@@ -163,6 +161,42 @@ class TestUniformBound:
         model = SumModel.rademacher([random_tensor(rng, (2, 2))])
         with pytest.raises(ApplicabilityError):
             uniform_bound_L(model, "even")
+
+
+@given(
+    theorem=st.sampled_from(["even", "general", "intrinsic"]),
+    law=st.sampled_from(["rademacher", "subsample"]),
+    # two or more, so that a centered population is not all zero
+    count=st.integers(min_value=2, max_value=6),
+    dim=st.integers(min_value=2, max_value=3),
+    sample_size=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_L_is_the_statistic_capped_over_every_realization(
+    theorem, law, count, dim, sample_size, seed
+):
+    # L and the Monte Carlo trials share one owner of the statistic:
+    # L is the draw scale times its largest value over the realizable
+    # summands, +-X_k under Rademacher and each X_k under subsampling
+    rng = np.random.default_rng(seed)
+    if theorem == "even" or rng.integers(2):
+        m = int(rng.integers(1, 3))
+        comps = [random_e_symmetric(rng, m, dim) for _ in range(count)]
+    else:
+        shape = (dim,) * int(rng.integers(2, 4))
+        comps = [random_tensor(rng, shape) for _ in range(count)]
+    if law == "rademacher":
+        model = SumModel.rademacher(comps)
+        realized, scale = np.concatenate([model.stack, -model.stack]), 1.0
+    else:
+        model = SumModel.subsample(comps, sample_size)
+        realized, scale = model.stack, count / sample_size
+    kind = "lambda_max" if theorem == "even" else "sigma_max"
+    want = max(scale * stack_statistics(model, realized, kind).max(), 0.0)
+    got = build_report(model, theorem).L
+    assert abs(got - want) <= 1e-12 * want
+    assert got == uniform_bound_L(model, "even" if theorem == "even" else "general")
 
 
 class TestVarianceEven:

@@ -24,6 +24,8 @@ from einbern import (
     build_report,
     load_experiment,
     load_model,
+    model_from_dict,
+    random_fully_symmetric,
     run_experiment,
     write_tensor_text,
 )
@@ -397,6 +399,19 @@ class TestOversizedInputs:
         assert self.run_bound(tmp_path, doc) == 2
         assert "allowed" in capsys.readouterr().err
 
+    def test_fully_symmetric_counts_its_permutations(self, tmp_path, capsys):
+        # order 8, dim 2: 8! * 2**8 fits the budget and generates as before
+        generate = {"count": 1, "order": 8, "dim": 2, "seed": 3,
+                    "kind": "fully_symmetric"}
+        model = model_from_dict({"law": "rademacher", "generate": generate})
+        want = random_fully_symmetric(np.random.default_rng(3), 8, 2)
+        assert np.array_equal(model.stack[0], want.data)
+        # order 9: 9! * 2**9 does not
+        generate["order"] = 9
+        doc = {"schema": 1, "law": "rademacher", "generate": generate}
+        assert self.run_bound(tmp_path, doc) == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_non_positive_mode_size_exits_2(self, tmp_path):
         doc = {"schema": 1, "law": "rademacher",
                "components": [{"shape": [2, -2], "entries": []}]}
@@ -569,6 +584,19 @@ def field_test_doc():
     return doc
 
 
+def test_with_replacement_true_is_accepted(tmp_path):
+    # an archived document key; drawing with replacement is the only law
+    doc = field_test_doc()
+    doc["model"]["with_replacement"] = True
+    config = write_json(tmp_path / "exp.json", doc)
+    assert main(["simulate", "--config", config,
+                 "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def inline_model(component):
+    return {"law": "rademacher", "components": [component]}
+
+
 def test_field_test_doc_is_valid(tmp_path):
     config = write_json(tmp_path / "exp.json", field_test_doc())
     assert main(["simulate", "--config", config,
@@ -588,11 +616,24 @@ def test_field_test_doc_is_valid(tmp_path):
         (["t_grid"], {"start": 0.0, "stop": 1.0, "num": 10**13}),
         (["trials"], 10**13),
         (["model", "sample_size"], 10**13),
+        (["model", "with_replacement"], False),
+        (["model", "with_replacement"], "yes"),
+        (["model"], inline_model({"shape": [2, 2], "entries": 5})),
+        (["model"], inline_model({"shape": [2, 2], "entries": [5]})),
+        (["model"], inline_model({"shape": 5, "entries": []})),
+        (["model"], inline_model({"file": 5})),
+        # 10! permutations of 2**10 entries: 22 s of work if generated
+        (["model"], {"law": "rademacher",
+                     "generate": {"count": 1, "order": 10, "dim": 2, "seed": 0,
+                                  "kind": "fully_symmetric"}}),
     ],
     ids=["slack-string", "slack-bool", "scale-string", "scale-beyond-float",
          "negative-generate-seed",
          "grid-string", "grid-start-string", "grid-num-oversized",
-         "trials-oversized", "sample-size-oversized"],
+         "trials-oversized", "sample-size-oversized",
+         "without-replacement", "with-replacement-string",
+         "entries-number", "entry-number", "shape-number", "file-number",
+         "fully-symmetric-order-10"],
 )
 def test_bad_config_fields_exit_2(tmp_path, capsys, path, value):
     doc = field_test_doc()
@@ -602,6 +643,26 @@ def test_bad_config_fields_exit_2(tmp_path, capsys, path, value):
     target[path[-1]] = value
     config = write_json(tmp_path / "exp.json", doc)
     assert main(["simulate", "--config", config,
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "splice", ["9" * 5000, "[" * 100000 + "]" * 100000],
+    ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+)
+def test_unreadable_json_value_exits_2(tmp_path, capsys, splice):
+    # json.dumps refuses an int past the 4300-digit conversion limit and
+    # nesting past the recursion limit, so the value is spliced into the
+    # document text
+    doc = field_test_doc()
+    doc["model"]["generate"]["seed"] = "SEED"
+    text = json.dumps(doc).replace('"SEED"', splice)
+    config = tmp_path / "exp.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(config),
                  "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -32,6 +32,7 @@ from einbern import (
     variance_general,
 )
 from einbern import montecarlo
+from einbern.bounds import statistic
 
 
 def small_even_model(count=8, seed=0):
@@ -342,7 +343,7 @@ class TestBatchedTrials:
         else:
             model = SumModel.subsample(comps, sample_size)
         theorem = "even" if kind == "lambda_max" else "general"
-        assert montecarlo._statistic(model, theorem)[1] == kind
+        assert statistic(model, theorem)[1] == kind
         chunk = montecarlo._chunk_size(model)
         trials = {"min": 100, "below": chunk - 1, "at": chunk,
                   "above": chunk + 1, "two": 2 * chunk + 3}[trials_at]
