@@ -62,13 +62,40 @@ THEOREMS = ("auto", "even", "general", "intrinsic")
 PSD_TOL = 1e-10
 
 
+class _Law:
+    """How one trial draws the weights of the K components from its own
+    generator.
+
+    A law makes ``count`` uniform integer draws in [0, bound), where
+    ``(bound, count) = draws(K)``, and ``rows`` turns each row of draws
+    into a row of K weights.  The Monte Carlo lab derives many trials'
+    draws at once and must get exactly these.
+    """
+
+    def picks(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """One trial's draws: ``rng.integers(0, bound, size=count)``."""
+        bound, count = self.draws(k)
+        return rng.integers(0, bound, size=count)
+
+    def weights(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """One trial's weight row: K floats drawn from ``rng``."""
+        return self.rows(self.picks(rng, k)[None], k)[0]
+
+
 @dataclass(frozen=True)
-class Rademacher:
+class Rademacher(_Law):
     """Each summand is its component times an independent uniform sign."""
 
+    def draws(self, k: int) -> tuple:
+        return 2, k
+
+    def rows(self, picks: np.ndarray, k: int) -> np.ndarray:
+        """Signs: a pick of 0 is -1 and a pick of 1 is +1."""
+        return 2.0 * picks - 1.0
+
 
 @dataclass(frozen=True)
-class Subsample:
+class Subsample(_Law):
     """Summands are uniform draws from the centered population.
 
     Each of ``sample_size`` independent draws picks one of the n centered
@@ -78,6 +105,17 @@ class Subsample:
     """
 
     sample_size: int
+
+    def draws(self, k: int) -> tuple:
+        return k, self.sample_size
+
+    def rows(self, picks: np.ndarray, k: int) -> np.ndarray:
+        """How often each row picked each component, scaled by n / s."""
+        trials = len(picks)
+        # one bincount over all rows, each offset into its own k bins
+        flat = (picks + k * np.arange(trials)[:, None]).ravel()
+        counts = np.bincount(flat, minlength=trials * k).reshape(trials, k)
+        return (k / self.sample_size) * counts
 
 
 def _stack_of(comps: tuple) -> np.ndarray:

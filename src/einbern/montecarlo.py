@@ -1,13 +1,16 @@
 """Seeded simulation of random tensor sums against the closed-form bounds.
 
-Each trial draws its own generator from (seed, trial index), so trials
-are order-independent.  Trials run in fixed-size chunks: every trial of
-a chunk draws its weight row (signs, or subsample pick counts scaled by
-n/s) from its own stream, exactly as ``sample_sum`` does; one matrix
-product of the weights with the component stack forms the chunk's
-sums, and ``bounds.stack_statistics``, the kernel L is computed with,
-gives their statistics in one batched LAPACK call.  Chunks depend only
-on the model's shape, so the same seed gives the same bytes.
+Each trial draws its weights from its own generator
+``trial_rng(seed, i)``, through the law's ``weights``, so trials are
+order-independent.  Trials run in fixed-size chunks.  A chunk's draws
+are derived in bulk by ``streams.TrialDraws``, which reproduces the
+per-trial generators draw for draw; rows in which Lemire's bounded draw
+would redraw come from their own generators instead, and so does the
+whole chunk if its first bulk row differs from its generator's draws.
+One matrix product of the weights with the component stack forms the
+chunk's sums, and ``bounds.stack_statistics``, the kernel L is computed
+with, gives their statistics in one batched LAPACK call.  Chunks depend
+only on the model's shape, so the same seed gives the same bytes.
 EB_THREADS is still validated but never changes what runs or what
 comes out.
 """
@@ -31,6 +34,7 @@ from .bounds import (
     statistic,
 )
 from .errors import ApplicabilityError, ModelError
+from .streams import TrialDraws
 from .tensor import Tensor
 
 __all__ = [
@@ -96,18 +100,9 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def sample_sum(model: SumModel, rng: np.random.Generator) -> Tensor:
     """One realization of the random sum Y = sum_k X_k.
 
-    The scalar path: the chunked trial loop draws the same weights from
-    the same stream and serves as its reference.
+    The scalar path: one weight row from ``rng``, times the stack.
     """
-    stacked = model.stack
-    if isinstance(model.law, Rademacher):
-        signs = rng.integers(0, 2, size=len(model.components)) * 2 - 1
-        flat = signs.astype(np.float64) @ stacked
-    else:
-        n = len(model.components)
-        s = model.law.sample_size
-        picks = rng.integers(0, n, size=s)
-        flat = (n / s) * stacked[picks].sum(axis=0)
+    flat = model.law.weights(rng, len(model.components)) @ model.stack
     return Tensor(model.components[0].shape, flat, copy=False)
 
 
@@ -157,27 +152,54 @@ def _resolve_threads(threads: int | None) -> int:
 
 
 def _chunk_size(model: SumModel) -> int:
-    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * max(model.stack.shape))))
+    count = model.law.draws(len(model.components))[1]
+    widest = max(*model.stack.shape, count)
+    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * widest)))
+
+
+def _trial_picks(
+    seed: int,
+    law: Rademacher | Subsample,
+    k: int,
+    bulk: TrialDraws | None,
+    start: int,
+    stop: int,
+) -> np.ndarray:
+    """Draws of trials start..stop-1: row r is exactly
+    ``law.picks(trial_rng(seed, start + r), k)``.
+
+    Rows come from the bulk derivation ``bulk``, except rows in which
+    Lemire's method redraws, which are drawn from their own generator.
+    The first bulk row is drawn from its generator too: if the two
+    differ, this numpy derives its streams otherwise than ``streams``
+    does, and the whole chunk is drawn trial by trial.
+    """
+    if bulk is not None:
+        picks, redo = bulk.block(start, stop)
+        kept = np.flatnonzero(~redo)
+        if not kept.size or np.array_equal(
+            picks[kept[0]], law.picks(trial_rng(seed, start + kept[0]), k)
+        ):
+            for row in np.flatnonzero(redo):
+                picks[row] = law.picks(trial_rng(seed, start + row), k)
+            return picks
+    return np.stack([law.picks(trial_rng(seed, i), k) for i in range(start, stop)])
 
 
 def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:
     """Per-trial statistic ``kind``, one chunk of trials at a time."""
     model = config.model
+    law = model.law
     k = len(model.components)
     chunk = _chunk_size(model)
-    weights = np.empty((chunk, k))
+    # a chunk of one trial would draw it from its generator anyway, to
+    # check it; chunks are that small when one row of components, sums
+    # or draws fills a block
+    bulk = TrialDraws(config.seed, *law.draws(k)) if chunk > 1 else None
     out = np.empty(config.trials)
     for start in range(0, config.trials, chunk):
         stop = min(start + chunk, config.trials)
-        block = weights[: stop - start]
-        for row, i in enumerate(range(start, stop)):
-            rng = trial_rng(config.seed, i)
-            if isinstance(model.law, Subsample):
-                s = model.law.sample_size
-                picks = rng.integers(0, k, size=s)
-                block[row] = (k / s) * np.bincount(picks, minlength=k)
-            else:
-                block[row] = rng.integers(0, 2, size=k) * 2 - 1
+        block = law.rows(_trial_picks(config.seed, law, k, bulk, start, stop), k)
         with np.errstate(over="ignore", invalid="ignore"):
             sums = block @ model.stack
         out[start:stop] = stack_statistics(model, sums, kind)

@@ -13,6 +13,7 @@ from einbern import (
     ExperimentConfig,
     ModelError,
     NumericalError,
+    Subsample,
     SumModel,
     SymmetryError,
     Tensor,
@@ -31,7 +32,7 @@ from einbern import (
     trial_rng,
     variance_general,
 )
-from einbern import montecarlo
+from einbern import montecarlo, streams
 from einbern.bounds import statistic
 
 
@@ -390,6 +391,91 @@ class TestBatchedTrials:
         chunk = montecarlo._chunk_size(model)
         assert 8 * chunk * model.stack.shape[1] <= montecarlo._CHUNK_BYTES
         assert montecarlo._chunk_size(small_even_model()) == montecarlo._CHUNK_TRIALS
+        # a subsample's draws per trial count against the budget too
+        wide = SumModel.subsample([random_tensor(rng, (2, 2)) for _ in range(3)], 5000)
+        assert 8 * montecarlo._chunk_size(wide) * 5000 <= montecarlo._CHUNK_BYTES
+
+
+def counting_trial_rng(monkeypatch) -> list:
+    """Record the trial index of every ``montecarlo.trial_rng`` call."""
+    calls = []
+
+    def counted(seed, trial):
+        calls.append(int(trial))
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(montecarlo, "trial_rng", counted)
+    return calls
+
+
+class TestBulkDraws:
+    def test_rejected_rows_are_drawn_per_trial(self, monkeypatch):
+        # 2^32 mod k = 2^30 - 1, so Lemire's method redraws about a
+        # quarter of the draws; only the law's picks are drawn, no model
+        k = 3 * 2**30 + 1
+        law = Subsample(2)
+        seed, start, stop = 2019, 5000, 5064
+        draws = streams.TrialDraws(seed, *law.draws(k))
+        bulk, redo = draws.block(start, stop)
+        assert 0 < redo.sum() < redo.size
+        calls = counting_trial_rng(monkeypatch)
+        picks = montecarlo._trial_picks(seed, law, k, draws, start, stop)
+        for r, i in enumerate(range(start, stop)):
+            assert np.array_equal(picks[r], law.picks(trial_rng(seed, i), k))
+        # the bulk derivation cannot follow a redraw
+        assert any(not np.array_equal(bulk[r], picks[r]) for r in np.flatnonzero(redo))
+        # the other rows are bulk rows: only rejected rows and one check
+        # row were drawn from their generators
+        first = start + int(np.flatnonzero(~redo)[0])
+        assert sorted(calls) == sorted([first, *(start + np.flatnonzero(redo))])
+        assert np.array_equal(picks[~redo], bulk[~redo])
+
+    def test_mismatched_chunk_is_drawn_per_trial(self, monkeypatch):
+        model = small_even_model(count=5, seed=16)
+        trials = 300
+        config = ExperimentConfig(
+            model=model, trials=trials, t_grid=(0.0, 1.0, 2.0, 4.0), seed=24
+        )
+        calls = counting_trial_rng(monkeypatch)
+        want = format_results_csv(run_experiment(config))
+        # one check row per chunk
+        checks = list(range(0, trials, montecarlo._chunk_size(model)))
+        assert calls == checks
+
+        xsl_rr = streams._xsl_rr
+
+        def corrupted(state):
+            out = xsl_rr(state)
+            # flip the top bit of both halves of the first row's first
+            # output: the first two signs of the chunk's first trial
+            out[0, 0] ^= np.uint64(1 << 63 | 1 << 31)
+            return out
+
+        monkeypatch.setattr(streams, "_xsl_rr", corrupted)
+        calls.clear()
+        assert format_results_csv(run_experiment(config)) == want
+        assert sorted(calls) == sorted(checks + list(range(trials)))
+
+    def test_wide_subsample_is_drawn_per_trial(self, monkeypatch):
+        # one row of draws fills a block: chunks of one trial, each drawn
+        # from its generator without a bulk derivation
+        rng = np.random.default_rng(17)
+        size = montecarlo._CHUNK_BYTES // 16 + 1
+        model = SumModel.subsample([random_tensor(rng, (2, 2)) for _ in range(3)], size)
+        assert montecarlo._chunk_size(model) == 1
+        config = ExperimentConfig(
+            model=model, trials=100, t_grid=(0.0,), seed=25, theorem="general"
+        )
+
+        def no_bulk(*args):
+            raise AssertionError("a chunk of one trial needs no bulk derivation")
+
+        monkeypatch.setattr(montecarlo, "TrialDraws", no_bulk)
+        calls = counting_trial_rng(monkeypatch)
+        stats = montecarlo._collect_statistics(config, "sigma_max")
+        assert calls == list(range(100))
+        want = gen_spectral_norm(sample_sum(model, trial_rng(25, 99)))
+        assert stats[99] == pytest.approx(want, rel=1e-12)
 
 
 @given(
