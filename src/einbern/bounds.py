@@ -16,6 +16,7 @@ lab measures it on sampled sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,28 +64,35 @@ PSD_TOL = 1e-10
 
 
 class _Law:
-    """How one trial draws the weights of the K components from its own
-    generator.
+    """The randomness law of the summands X_k: the one owner of what a
+    summand can be and of how one trial draws the K weights.
 
-    A law makes ``count`` uniform integer draws in [0, bound), where
-    ``(bound, count) = draws(K)``, and ``rows`` turns each row of draws
-    into a row of K weights.  The Monte Carlo lab derives many trials'
-    draws at once and must get exactly these.
+    A law states the scale of a drawn component (``scale``) and whether
+    -X_k can be drawn as well as X_k (``signed``), and checks its own
+    parameters and the component stack (``check_stack``).  One trial
+    makes ``count`` uniform integer draws in [0, bound), where ``(bound,
+    count) = draws(K)``, each picking one summand, and ``rows`` turns
+    each row of draws into a row of K weights.  What a trial draws is
+    owned by ``streams.TrialDraws``.
     """
 
-    def picks(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """One trial's draws: ``rng.integers(0, bound, size=count)``."""
-        bound, count = self.draws(k)
-        return rng.integers(0, bound, size=count)
+    def check_stack(self, stack: np.ndarray) -> None:
+        """Any finite stack is a valid set of components."""
 
     def weights(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """One trial's weight row: K floats drawn from ``rng``."""
-        return self.rows(self.picks(rng, k)[None], k)[0]
+        bound, count = self.draws(k)
+        return self.rows(rng.integers(0, bound, size=count)[None], k)[0]
 
 
 @dataclass(frozen=True)
 class Rademacher(_Law):
     """Each summand is its component times an independent uniform sign."""
+
+    signed = True
+
+    def scale(self, k: int) -> float:
+        return 1.0
 
     def draws(self, k: int) -> tuple:
         return 2, k
@@ -105,6 +113,26 @@ class Subsample(_Law):
     """
 
     sample_size: int
+    signed = False
+
+    def __post_init__(self):
+        size = self.sample_size
+        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+            raise ModelError(f"sample_size must be a positive integer, got {size!r}")
+
+    def scale(self, k: int) -> float:
+        return k / self.sample_size
+
+    def check_stack(self, stack: np.ndarray) -> None:
+        """The population must be centered, so that the summands have
+        zero mean."""
+        total = stack.sum(axis=0)
+        scale = float(np.abs(stack).max())
+        if float(np.abs(total).max()) > DEFAULT_TOL * max(scale, 1.0) * len(stack):
+            raise ModelError(
+                "subsample population is not centered; build the model "
+                "with SumModel.subsample to center it"
+            )
 
     def draws(self, k: int) -> tuple:
         return k, self.sample_size
@@ -115,7 +143,7 @@ class Subsample(_Law):
         # one bincount over all rows, each offset into its own k bins
         flat = (picks + k * np.arange(trials)[:, None]).ravel()
         counts = np.bincount(flat, minlength=trials * k).reshape(trials, k)
-        return (k / self.sample_size) * counts
+        return self.scale(k) * counts
 
 
 def _stack_of(comps: tuple) -> np.ndarray:
@@ -164,18 +192,9 @@ class SumModel:
         object.__setattr__(
             self, "components", tuple(Tensor(shape, row, copy=False) for row in stack)
         )
-        if isinstance(self.law, Subsample):
-            if self.law.sample_size < 1:
-                raise ModelError("sample_size must be positive")
-            total = stack.sum(axis=0)
-            scale = float(np.abs(stack).max())
-            if float(np.abs(total).max()) > DEFAULT_TOL * max(scale, 1.0) * len(comps):
-                raise ModelError(
-                    "subsample population is not centered; build the model "
-                    "with SumModel.subsample to center it"
-                )
-        elif not isinstance(self.law, Rademacher):
+        if not isinstance(self.law, _Law):
             raise ModelError(f"unsupported randomness law: {self.law!r}")
+        self.law.check_stack(stack)
 
     @classmethod
     def rademacher(cls, components) -> "SumModel":
@@ -211,9 +230,8 @@ class SumModel:
 
     @property
     def num_summands(self) -> int:
-        if isinstance(self.law, Subsample):
-            return self.law.sample_size
-        return len(self.components)
+        # each draw picks one summand
+        return self.law.draws(len(self.components))[1]
 
     def is_even_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
         """True when the even-order, pairwise-symmetric bound applies.
@@ -225,13 +243,6 @@ class SumModel:
                 e_symmetric_rows(self.stack, tol).all()
             )
         return self._even_symmetric[tol]
-
-
-def _draw_scale(model: SumModel) -> float:
-    """Scale factor applied to each realized component."""
-    if isinstance(model.law, Subsample):
-        return len(model.components) / model.law.sample_size
-    return 1.0
 
 
 def statistic(model: SumModel, theorem: str) -> tuple:
@@ -289,10 +300,11 @@ def uniform_bound_L(model: SumModel, kind: str | None = None) -> float:
         raise ApplicabilityError(
             "eigenvalue cap needs an even order and pairwise-symmetric components"
         )
-    stat = "abs_eig" if isinstance(model.law, Rademacher) else "lambda_max"
+    stat = "abs_eig" if model.law.signed else "lambda_max"
     if kind == "general":
         stat = "sigma_max"
-    best = _draw_scale(model) * stack_statistics(model, model.stack, stat).max()
+    scale = model.law.scale(len(model.components))
+    best = scale * stack_statistics(model, model.stack, stat).max()
     return float(max(best, 0.0))
 
 
@@ -320,7 +332,7 @@ def einstein_second_moment(model: SumModel) -> Tensor:
     n = model.dim ** model.split
     # per subsample draw: the mean of the n population squares times
     # (n/s)^2, summed over the s draws, is n/s times their sum
-    gram = _gram(model.stack.reshape(-1, n), _draw_scale(model))
+    gram = _gram(model.stack.reshape(-1, n), model.law.scale(len(model.components)))
     return unmatricize(gram, model.order, model.dim)
 
 
@@ -353,7 +365,7 @@ def variance_general(model: SumModel) -> GeneralVariance:
     V^T V for the stacked V = [F_1; ...; F_K]: two Gram products.
     """
     order, d, m = model.order, model.dim, model.split
-    factor = _draw_scale(model)
+    factor = model.law.scale(len(model.components))
     # the columns of H are the length-d**m rows of the reshaped stack
     outer = _gram(model.stack.reshape(-1, d**m), factor)
     unfoldings = matricize_rows(model.stack, order, d)

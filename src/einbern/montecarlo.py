@@ -1,24 +1,23 @@
 """Seeded simulation of random tensor sums against the closed-form bounds.
 
-Each trial draws its weights from its own generator
-``trial_rng(seed, i)``, through the law's ``weights``, so trials are
-order-independent.  Trials run in fixed-size chunks.  A chunk's draws
-are derived in bulk by ``streams.TrialDraws``, which reproduces the
-per-trial generators draw for draw; rows in which Lemire's bounded draw
-would redraw come from their own generators instead, and so does the
-whole chunk if its first bulk row differs from its generator's draws.
-One matrix product of the weights with the component stack forms the
-chunk's sums, and ``bounds.stack_statistics``, the kernel L is computed
-with, gives their statistics in one batched LAPACK call.  Chunks depend
-only on the model's shape, so the same seed gives the same bytes.
-EB_THREADS is still validated but never changes what runs or what
-comes out.
+Trials run in fixed-size chunks, and each decision has one owner:
+
+- ``streams.TrialDraws`` owns what a trial draws: a chunk's block holds
+  exactly the draws of each trial's own generator ``trial_rng(seed, i)``,
+  however the block is derived;
+- the model's law owns what the draws mean: ``law.rows`` turns them
+  into weight rows;
+- ``bounds.stack_statistics``, the kernel L is computed with, owns the
+  statistic.
+
+One matrix product of a chunk's weights with the component stack forms
+its sums, and one batched LAPACK call gives their statistics.  Chunks
+depend only on the model's shape, so the same seed gives the same bytes.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +25,13 @@ import numpy as np
 from .bounds import (
     THEOREMS,
     BernsteinReport,
-    Rademacher,
-    Subsample,
     SumModel,
     build_report,
     stack_statistics,
     statistic,
 )
 from .errors import ApplicabilityError, ModelError
-from .streams import TrialDraws
+from .streams import TrialDraws, trial_rng
 from .tensor import Tensor
 
 __all__ = [
@@ -92,11 +89,6 @@ class ExperimentConfig:
             raise ModelError(f"unknown theorem {self.theorem!r}")
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent generator for one trial, derived from (seed, trial)."""
-    return np.random.default_rng([int(seed), int(trial)])
-
-
 def sample_sum(model: SumModel, rng: np.random.Generator) -> Tensor:
     """One realization of the random sum Y = sum_k X_k.
 
@@ -135,55 +127,10 @@ class ExperimentResult:
         return all(row.passed for row in self.rows)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    """Validate a thread request and return the number of threads that run
-    trials, which is always one.
-
-    An explicit ``threads`` argument takes precedence over EB_THREADS;
-    EB_THREADS must parse as an integer.
-    """
-    env = os.environ.get("EB_THREADS", "").strip()
-    if threads is None and env:
-        try:
-            int(env)
-        except ValueError as exc:
-            raise ModelError(f"EB_THREADS must be an integer, got {env!r}") from exc
-    return 1
-
-
 def _chunk_size(model: SumModel) -> int:
     count = model.law.draws(len(model.components))[1]
     widest = max(*model.stack.shape, count)
     return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * widest)))
-
-
-def _trial_picks(
-    seed: int,
-    law: Rademacher | Subsample,
-    k: int,
-    bulk: TrialDraws | None,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Draws of trials start..stop-1: row r is exactly
-    ``law.picks(trial_rng(seed, start + r), k)``.
-
-    Rows come from the bulk derivation ``bulk``, except rows in which
-    Lemire's method redraws, which are drawn from their own generator.
-    The first bulk row is drawn from its generator too: if the two
-    differ, this numpy derives its streams otherwise than ``streams``
-    does, and the whole chunk is drawn trial by trial.
-    """
-    if bulk is not None:
-        picks, redo = bulk.block(start, stop)
-        kept = np.flatnonzero(~redo)
-        if not kept.size or np.array_equal(
-            picks[kept[0]], law.picks(trial_rng(seed, start + kept[0]), k)
-        ):
-            for row in np.flatnonzero(redo):
-                picks[row] = law.picks(trial_rng(seed, start + row), k)
-            return picks
-    return np.stack([law.picks(trial_rng(seed, i), k) for i in range(start, stop)])
 
 
 def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:
@@ -191,36 +138,28 @@ def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:
     model = config.model
     law = model.law
     k = len(model.components)
+    draws = TrialDraws(config.seed, *law.draws(k))
     chunk = _chunk_size(model)
-    # a chunk of one trial would draw it from its generator anyway, to
-    # check it; chunks are that small when one row of components, sums
-    # or draws fills a block
-    bulk = TrialDraws(config.seed, *law.draws(k)) if chunk > 1 else None
     out = np.empty(config.trials)
     for start in range(0, config.trials, chunk):
         stop = min(start + chunk, config.trials)
-        block = law.rows(_trial_picks(config.seed, law, k, bulk, start, stop), k)
+        block = law.rows(draws.block(start, stop), k)
         with np.errstate(over="ignore", invalid="ignore"):
             sums = block @ model.stack
         out[start:stop] = stack_statistics(model, sums, kind)
     return out
 
 
-def run_experiment(
-    config: ExperimentConfig, threads: int | None = None
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run all trials and compare tail frequencies against the bound.
 
     The per-t upper confidence value is the empirical frequency plus
     slack standard errors plus 1/trials, clamped into [0, 1]; a grid
     point passes when that value stays below the clamped bound.
-    ``threads`` (or EB_THREADS) is validated only: trials run in
-    chunks, one after another.
     """
     report = build_report(config.model, config.theorem)
     # a t below the validity threshold raises before any trial runs
     tails = [report.tail(t) for t in config.t_grid]
-    _resolve_threads(threads)
     name, kind = statistic(config.model, report.theorem)
     stats = _collect_statistics(config, kind)
 

@@ -1,10 +1,13 @@
-"""Per-trial random streams, derived for many trials at once.
+"""Per-trial random streams, and their draws for many trials at once.
 
-``TrialDraws(seed, bound, count).block(start, stop)`` gives, for every
-trial index i in [start, stop), the draws of
-``numpy.random.default_rng([seed, i]).integers(0, bound, size=count)``
-computed in numpy over the whole block instead of one generator per
-trial.  It ports numpy's own algorithms stage by stage:
+Trial i of a run draws from its own generator ``trial_rng(seed, i)``,
+so trials are order-independent.  This module owns what a trial draws:
+``TrialDraws(seed, bound, count).block(start, stop)`` holds, for every
+trial index i in [start, stop), exactly the draws of
+``trial_rng(seed, i).integers(0, bound, size=count)``.
+
+A block of several rows is derived in numpy over the whole block,
+porting numpy's own algorithms stage by stage:
 
 - ``SeedSequence`` entropy mixing of the words of ``[seed, i]`` into a
   four-word pool, and ``generate_state(4, uint64)`` from it;
@@ -19,18 +22,21 @@ trial.  It ports numpy's own algorithms stage by stage:
   ``(u * bound) >> 32`` (Lemire 2019, "Fast Random Integer Generation in
   an Interval").
 
-Lemire's method redraws a half whose low product word falls below
-``2^32 mod bound``.  The block does not follow a redraw: it flags the
-row instead, and the caller draws that row from its own generator.
-The block is only as right as the port of numpy's internals, so callers
-also compare a row of each block with the generator it stands for.
+The derivation does not follow a redraw of Lemire's method (a low
+product word below ``2^32 mod bound``): such a row comes from its own
+generator.  It is only as right as the port of numpy's internals, so the
+first derived row of each block is compared with its generator, and on
+a mismatch the whole block is drawn trial by trial.  A block of one row
+comes straight from its generator, and the jump table is built only
+when a block of several rows first needs it: at 2^18 draws per trial,
+building it takes about 0.2 s and one generator row a few milliseconds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["TrialDraws"]
+__all__ = ["TrialDraws", "trial_rng"]
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -48,6 +54,11 @@ _XSHIFT = np.uint32(16)
 
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """Independent generator for one trial, derived from (seed, trial)."""
+    return np.random.default_rng([int(seed), int(trial)])
 
 
 def _words(n: int) -> list:
@@ -148,52 +159,77 @@ def _xsl_rr(state: tuple):
 
 
 class TrialDraws:
-    """The draws ``default_rng([seed, i]).integers(0, bound, size=count)``
+    """The draws ``trial_rng(seed, i).integers(0, bound, size=count)``
     for blocks of trial indices i."""
 
     def __init__(self, seed: int, bound: int, count: int):
         if not 1 <= bound <= 1 << 32:
             raise ValueError(f"bound must be in [1, 2^32], got {bound}")
+        self.seed = int(seed)
         self.bound = int(bound)
         self.count = int(count)
-        self._seed = [np.array([w], np.uint32) for w in _words(int(seed))]
-        # seeding leaves state M*s + (1 + M)*inc; each output steps
-        # state -> M*state + inc first, so output j reads the state
-        # M^(j+1)*s + (1 + M + ... + M^(j+1))*inc
-        a, c = _PCG_MULT, 1 + _PCG_MULT
-        jumps = []
-        for _ in range((self.count + 1) // 2):
-            a = (a * _PCG_MULT) & _M128
-            c = (c * _PCG_MULT + 1) & _M128
-            jumps.append((a, c))
-        self._a = _limbs([a for a, _ in jumps])
-        self._c = _limbs([c for _, c in jumps])
+        self._seed_words = [np.array([w], np.uint32) for w in _words(self.seed)]
+        self._jumps = None
 
-    def block(self, start: int, stop: int) -> tuple:
-        """(draws, redo) for trials start..stop-1.
+    def row(self, trial: int) -> np.ndarray:
+        """One trial's draws, from its own generator."""
+        return trial_rng(self.seed, trial).integers(0, self.bound, size=self.count)
 
-        ``draws`` is a (stop - start, count) int64 array whose row r is
-        the draw of trial start + r wherever ``redo[r]`` is false.  Where
-        it is true, Lemire's method redraws within that row, and the row
-        must be drawn from the trial's own generator.
-        """
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Draws of trials start..stop-1: a (stop - start, count) int64
+        array whose row r is exactly ``self.row(start + r)``."""
         if not 0 <= start <= stop <= 1 << 32:
             # a larger index is two entropy words, not one
             raise ValueError(f"trial indices must be below 2^32, got {start}..{stop}")
+        if stop - start == 1:
+            return self.row(start)[None]
+        draws, redo = self._derive(start, stop)
+        kept = np.flatnonzero(~redo)
+        if kept.size and not np.array_equal(
+            draws[kept[0]], self.row(start + kept[0])
+        ):
+            # this numpy derives its streams otherwise than this module
+            return np.stack([self.row(i) for i in range(start, stop)])
+        for r in np.flatnonzero(redo):
+            draws[r] = self.row(start + r)
+        return draws
+
+    def _jump_table(self) -> tuple:
+        """(A_j, C_j) limbs of the jump-ahead to each output j, built once."""
+        if self._jumps is None:
+            # seeding leaves state M*s + (1 + M)*inc; each output steps
+            # state -> M*state + inc first, so output j reads the state
+            # M^(j+1)*s + (1 + M + ... + M^(j+1))*inc
+            a, c = _PCG_MULT, 1 + _PCG_MULT
+            jumps = []
+            for _ in range((self.count + 1) // 2):
+                a = (a * _PCG_MULT) & _M128
+                c = (c * _PCG_MULT + 1) & _M128
+                jumps.append((a, c))
+            self._jumps = _limbs([a for a, _ in jumps]), _limbs([c for _, c in jumps])
+        return self._jumps
+
+    def _derive(self, start: int, stop: int) -> tuple:
+        """(draws, redo) for trials start..stop-1, derived in bulk: row r
+        of ``draws`` is exact unless Lemire's method redraws in it
+        (``redo[r]``)."""
         rows = stop - start
         if self.bound == 1:
             # integers(0, 1) returns zeros and consumes no output
             return np.zeros((rows, self.count), np.int64), np.zeros(rows, bool)
         trials = np.arange(start, stop, dtype=np.uint32)
-        words = _state_words(_pool(self._seed + [trials]))
+        words = _state_words(_pool(self._seed_words + [trials]))
         seed_state = (words[0][:, None], words[1][:, None])
         # srandom's increment is (initseq << 1) | 1
         inc = (
             ((words[2] << np.uint64(1)) | (words[3] >> np.uint64(63)))[:, None],
             ((words[3] << np.uint64(1)) | np.uint64(1))[:, None],
         )
-        out = _xsl_rr(_add128(_mul128(self._a, seed_state), _mul128(self._c, inc)))
-        halves = np.stack([out & _LOW, out >> _U32], axis=-1).reshape(rows, -1)
+        jump_a, jump_c = self._jump_table()
+        out = _xsl_rr(_add128(_mul128(jump_a, seed_state), _mul128(jump_c, inc)))
+        # the width is explicit: an empty block gives reshape nothing to infer
+        halves = np.stack([out & _LOW, out >> _U32], axis=-1)
+        halves = halves.reshape(rows, 2 * out.shape[1])
         scaled = halves[:, : self.count] * np.uint64(self.bound)
         redo = ((scaled & _LOW) < (1 << 32) % self.bound).any(axis=1)
         return (scaled >> _U32).astype(np.int64), redo

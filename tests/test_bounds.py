@@ -76,8 +76,30 @@ class TestSumModel:
 
     def test_uncentered_population_rejected(self):
         comp = identity_tensor(1, 2)
-        with pytest.raises(ModelError):
+        with pytest.raises(ModelError, match="not centered"):
             SumModel([comp], Subsample(2))
+        # the law's own check, on an uncentered and a centered stack
+        with pytest.raises(ModelError, match="not centered"):
+            Subsample(2).check_stack(np.array([[1.0, 0.0], [0.5, 0.0]]))
+        Subsample(2).check_stack(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+
+    def test_unsupported_law_rejected(self):
+        with pytest.raises(ModelError, match="unsupported randomness law"):
+            SumModel([identity_tensor(1, 2)], object())
+
+    @pytest.mark.parametrize("size", [2.5, True, 0, -1])
+    def test_sample_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ModelError, match="sample_size"):
+            Subsample(size)
+        rng = np.random.default_rng(3)
+        pop = [random_tensor(rng, (2, 2)) for _ in range(4)]
+        with pytest.raises(ModelError, match="sample_size"):
+            SumModel.subsample(pop, size)
+
+    def test_numpy_integer_sample_size_accepted(self):
+        rng = np.random.default_rng(3)
+        pop = [random_tensor(rng, (2, 2)) for _ in range(4)]
+        assert SumModel.subsample(pop, np.int64(3)).num_summands == 3
 
     def test_properties(self):
         rng = np.random.default_rng(1)

@@ -616,6 +616,7 @@ def test_field_test_doc_is_valid(tmp_path):
         (["t_grid"], {"start": 0.0, "stop": 1.0, "num": 10**13}),
         (["trials"], 10**13),
         (["model", "sample_size"], 10**13),
+        (["model", "sample_size"], 0),
         (["model", "with_replacement"], False),
         (["model", "with_replacement"], "yes"),
         (["model"], inline_model({"shape": [2, 2], "entries": 5})),
@@ -630,7 +631,7 @@ def test_field_test_doc_is_valid(tmp_path):
     ids=["slack-string", "slack-bool", "scale-string", "scale-beyond-float",
          "negative-generate-seed",
          "grid-string", "grid-start-string", "grid-num-oversized",
-         "trials-oversized", "sample-size-oversized",
+         "trials-oversized", "sample-size-oversized", "sample-size-zero",
          "without-replacement", "with-replacement-string",
          "entries-number", "entry-number", "shape-number", "file-number",
          "fully-symmetric-order-10"],

@@ -165,27 +165,6 @@ class TestRunExperiment:
         assert a == b
         assert format_results_csv(a) == format_results_csv(b)
 
-    def test_thread_count_does_not_change_results(self):
-        model = small_even_model(count=5, seed=7)
-        config = ExperimentConfig(
-            model=model, trials=200, t_grid=(0.0, 1.0, 3.0), seed=22
-        )
-        serial = format_results_csv(run_experiment(config, threads=1))
-        threaded = format_results_csv(run_experiment(config, threads=4))
-        assert serial == threaded
-
-    def test_eb_threads_env(self, monkeypatch):
-        model = small_even_model(count=5, seed=7)
-        config = ExperimentConfig(
-            model=model, trials=150, t_grid=(0.0, 2.0), seed=23
-        )
-        base = format_results_csv(run_experiment(config, threads=1))
-        monkeypatch.setenv("EB_THREADS", "3")
-        assert format_results_csv(run_experiment(config)) == base
-        monkeypatch.setenv("EB_THREADS", "zzz")
-        with pytest.raises(ModelError):
-            run_experiment(config)
-
     def test_matrix_statistic_reduction(self):
         # order-2 models: the per-trial statistic is the matrix statistic
         # of the summed matricizations
@@ -397,31 +376,31 @@ class TestBatchedTrials:
 
 
 def counting_trial_rng(monkeypatch) -> list:
-    """Record the trial index of every ``montecarlo.trial_rng`` call."""
+    """Record the trial index of every ``streams.trial_rng`` call."""
     calls = []
 
     def counted(seed, trial):
         calls.append(int(trial))
         return trial_rng(seed, trial)
 
-    monkeypatch.setattr(montecarlo, "trial_rng", counted)
+    monkeypatch.setattr(streams, "trial_rng", counted)
     return calls
 
 
 class TestBulkDraws:
     def test_rejected_rows_are_drawn_per_trial(self, monkeypatch):
         # 2^32 mod k = 2^30 - 1, so Lemire's method redraws about a
-        # quarter of the draws; only the law's picks are drawn, no model
+        # quarter of the draws; only the law's draws are made, no model
         k = 3 * 2**30 + 1
         law = Subsample(2)
         seed, start, stop = 2019, 5000, 5064
         draws = streams.TrialDraws(seed, *law.draws(k))
-        bulk, redo = draws.block(start, stop)
+        bulk, redo = draws._derive(start, stop)
         assert 0 < redo.sum() < redo.size
         calls = counting_trial_rng(monkeypatch)
-        picks = montecarlo._trial_picks(seed, law, k, draws, start, stop)
+        picks = draws.block(start, stop)
         for r, i in enumerate(range(start, stop)):
-            assert np.array_equal(picks[r], law.picks(trial_rng(seed, i), k))
+            assert np.array_equal(picks[r], trial_rng(seed, i).integers(0, k, size=2))
         # the bulk derivation cannot follow a redraw
         assert any(not np.array_equal(bulk[r], picks[r]) for r in np.flatnonzero(redo))
         # the other rows are bulk rows: only rejected rows and one check
@@ -458,7 +437,7 @@ class TestBulkDraws:
 
     def test_wide_subsample_is_drawn_per_trial(self, monkeypatch):
         # one row of draws fills a block: chunks of one trial, each drawn
-        # from its generator without a bulk derivation
+        # from its generator without a bulk derivation or a jump table
         rng = np.random.default_rng(17)
         size = montecarlo._CHUNK_BYTES // 16 + 1
         model = SumModel.subsample([random_tensor(rng, (2, 2)) for _ in range(3)], size)
@@ -470,7 +449,8 @@ class TestBulkDraws:
         def no_bulk(*args):
             raise AssertionError("a chunk of one trial needs no bulk derivation")
 
-        monkeypatch.setattr(montecarlo, "TrialDraws", no_bulk)
+        monkeypatch.setattr(streams.TrialDraws, "_derive", no_bulk)
+        monkeypatch.setattr(streams.TrialDraws, "_jump_table", no_bulk)
         calls = counting_trial_rng(monkeypatch)
         stats = montecarlo._collect_statistics(config, "sigma_max")
         assert calls == list(range(100))

@@ -31,14 +31,33 @@ from einbern.streams import TrialDraws
 @settings(max_examples=80, deadline=None)
 def test_bulk_rows_equal_per_trial_rows(seed, start, k, law, sample_size, rows):
     law = Rademacher() if law == "rademacher" else Subsample(sample_size)
-    picks, redo = TrialDraws(seed, *law.draws(k)).block(start, start + rows)
-    block = law.rows(picks, k)
+    bound, count = law.draws(k)
+    draws = TrialDraws(seed, bound, count)
+    block = law.rows(draws.block(start, start + rows), k)
     assert block.shape == (rows, k)
+    for r in range(rows):
+        assert np.array_equal(block[r], law.weights(trial_rng(seed, start + r), k))
+    # ``block`` is exact even when derivation is wrong, since it falls
+    # back to the generators; the derivation itself must match them
+    derived, redo = draws._derive(start, start + rows)
     if isinstance(law, Rademacher):
         # a bound of 2 divides 2^32: Lemire's method never redraws
         assert not redo.any()
     for r in np.flatnonzero(~redo):
-        assert np.array_equal(block[r], law.weights(trial_rng(seed, start + r), k))
+        expected = trial_rng(seed, start + r).integers(0, bound, size=count)
+        assert np.array_equal(derived[r], expected)
+
+
+def test_jump_table_is_built_once_for_blocks_of_several_rows():
+    draws = TrialDraws(3, 2, 5)
+    draws.block(7, 8)
+    assert draws._jumps is None
+    draws.block(0, 4)
+    table = draws._jumps
+    assert table is not None
+    draws.block(4, 9)
+    assert draws._jumps is table
+    assert draws.block(2, 2).shape == (0, 5)
 
 
 def test_bound_must_fit_32_bits():
