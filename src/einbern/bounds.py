@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -146,82 +147,85 @@ class Subsample(_Law):
         return self.scale(k) * counts
 
 
-def _stack_of(comps: tuple) -> np.ndarray:
-    """(K, size) stack of same-shape tensors, checked to be finite."""
-    shape = comps[0].shape
-    for c in comps:
-        if not isinstance(c, Tensor):
-            raise ModelError("components must be Tensor instances")
-        if c.shape != shape:
-            raise ModelError(f"components disagree in shape: {c.shape} vs {shape}")
-    stack = np.stack([c.data for c in comps])
+def _check_finite(stack: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
     if bad.size:
         raise ModelError(
-            f"non-finite entries (NaN or Inf) in {bad.size} of {len(comps)} "
+            f"non-finite entries (NaN or Inf) in {bad.size} of {len(stack)} "
             f"components, first at index {bad[0]}"
         )
     return stack
 
 
-@dataclass(frozen=True)
+def _stack_components(components) -> tuple:
+    """(shape, stack) of same-shape tensors, checked finite before any
+    centering, which would spread one NaN to every row."""
+    comps = tuple(components)
+    if not comps:
+        raise ModelError("a model needs at least one component")
+    if not all(isinstance(c, Tensor) for c in comps):
+        raise ModelError("components must be Tensor instances")
+    shape = comps[0].shape
+    for c in comps:
+        if c.shape != shape:
+            raise ModelError(f"components disagree in shape: {c.shape} vs {shape}")
+    return shape, _check_finite(np.stack([c.data for c in comps]))
+
+
+@dataclass(frozen=True, eq=False)
 class SumModel:
     """A random sum Y = sum_k X_k of independent zero-mean tensors.
 
-    The components are held once, as the rows of the read-only (K, d**N)
-    array ``stack``; ``components`` are Tensor views of those rows.
+    Row k of the read-only (K, d**N) ``stack`` is the flat buffer of
+    component k, of mode sizes ``shape``; a view is copied, so no other
+    array writes to the model.  ``components`` are Tensor views of the
+    rows, built on first use; bounds and trials never need them.
     """
 
-    components: tuple
+    shape: tuple
+    stack: np.ndarray = field(repr=False)
     law: Rademacher | Subsample = Rademacher()
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _even_symmetric: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _even_symmetric: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ModelError("a model needs at least one component")
-        stack = _stack_of(comps)
-        shape = comps[0].shape
-        if not comps[0].is_cubic or comps[0].order < 1:
+        shape = tuple(self.shape)
+        stack = np.asarray(self.stack, dtype=np.float64)
+        if stack.base is not None:
+            stack = stack.copy()
+        if stack.ndim != 2 or not len(stack) or stack.shape[1] != math.prod(shape):
+            raise ModelError(f"a {stack.shape} stack cannot hold shape {shape} rows")
+        _check_finite(stack)
+        if not shape or shape[0] < 1 or any(s != shape[0] for s in shape):
             raise ModelError(f"components must be cubic with order >= 1, got {shape}")
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(
-            self, "components", tuple(Tensor(shape, row, copy=False) for row in stack)
-        )
         if not isinstance(self.law, _Law):
             raise ModelError(f"unsupported randomness law: {self.law!r}")
+        stack.flags.writeable = False
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "stack", stack)
         self.law.check_stack(stack)
 
     @classmethod
     def rademacher(cls, components) -> "SumModel":
-        return cls(tuple(components), Rademacher())
+        return cls(*_stack_components(components))
 
     @classmethod
     def subsample(cls, population, sample_size: int) -> "SumModel":
         """Center a population and wrap it in a subsampling model."""
-        pop = tuple(population)
-        if not pop:
-            raise ModelError("population must be non-empty")
-        # checked before centering, which would spread one NaN to every tensor
-        stack = _stack_of(pop)
-        centered = stack - stack.mean(axis=0)
-        shape = pop[0].shape
-        return cls(
-            tuple(Tensor(shape, row, copy=False) for row in centered),
-            Subsample(sample_size),
-        )
+        shape, stack = _stack_components(population)
+        return cls(shape, stack - stack.mean(axis=0), Subsample(sample_size))
+
+    @cached_property
+    def components(self) -> tuple:
+        """Read-only Tensor views of the rows of the stack."""
+        return tuple(Tensor(self.shape, row, copy=False) for row in self.stack)
 
     @property
     def order(self) -> int:
-        return self.components[0].order
+        return len(self.shape)
 
     @property
     def dim(self) -> int:
-        return self.components[0].cubic_dim
+        return self.shape[0]
 
     @property
     def split(self) -> int:
@@ -231,7 +235,7 @@ class SumModel:
     @property
     def num_summands(self) -> int:
         # each draw picks one summand
-        return self.law.draws(len(self.components))[1]
+        return self.law.draws(len(self.stack))[1]
 
     def is_even_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
         """True when the even-order, pairwise-symmetric bound applies.
@@ -303,7 +307,7 @@ def uniform_bound_L(model: SumModel, kind: str | None = None) -> float:
     stat = "abs_eig" if model.law.signed else "lambda_max"
     if kind == "general":
         stat = "sigma_max"
-    scale = model.law.scale(len(model.components))
+    scale = model.law.scale(len(model.stack))
     best = scale * stack_statistics(model, model.stack, stat).max()
     return float(max(best, 0.0))
 
@@ -332,7 +336,7 @@ def einstein_second_moment(model: SumModel) -> Tensor:
     n = model.dim ** model.split
     # per subsample draw: the mean of the n population squares times
     # (n/s)^2, summed over the s draws, is n/s times their sum
-    gram = _gram(model.stack.reshape(-1, n), model.law.scale(len(model.components)))
+    gram = _gram(model.stack.reshape(-1, n), model.law.scale(len(model.stack)))
     return unmatricize(gram, model.order, model.dim)
 
 
@@ -365,7 +369,7 @@ def variance_general(model: SumModel) -> GeneralVariance:
     V^T V for the stacked V = [F_1; ...; F_K]: two Gram products.
     """
     order, d, m = model.order, model.dim, model.split
-    factor = model.law.scale(len(model.components))
+    factor = model.law.scale(len(model.stack))
     # the columns of H are the length-d**m rows of the reshaped stack
     outer = _gram(model.stack.reshape(-1, d**m), factor)
     unfoldings = matricize_rows(model.stack, order, d)

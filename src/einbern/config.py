@@ -10,20 +10,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import permutations
 
 import numpy as np
 
-from .bounds import SumModel
-from .errors import EinbernError, ModelError
+from .bounds import Subsample, SumModel, _stack_components
+from .errors import ModelError
 from .montecarlo import ExperimentConfig
-from .tensor import (
-    Tensor,
-    linearize,
-    random_e_symmetric,
-    random_fully_symmetric,
-    random_tensor,
-    read_tensor_text,
-)
+from .tensor import Tensor, linearize, read_tensor_text
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -123,7 +117,9 @@ def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> T
     return Tensor(shape, data, copy=False)
 
 
-def _generate_components(spec: dict) -> list:
+def _generate_components(spec: dict) -> tuple:
+    """(shape, stack) from one uniform draw; row k equals the k-th of
+    ``count`` successive draws of the per-tensor ``random_*`` generators."""
     _check_keys(spec, _GENERATE_KEYS, "generate")
     count = _int(_require(spec, "count", "generate"), "count")
     order = _int(_require(spec, "order", "generate"), "order")
@@ -145,12 +141,21 @@ def _generate_components(spec: dict) -> list:
     perms = math.factorial(min(order, 64)) if kind == "fully_symmetric" else 1
     if count * perms * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
         raise _over_budget(f"generating {count} order-{order} dim-{dim} {kind} tensors")
-    rng = np.random.default_rng(seed)
+    terms = max(2, perms)  # a draw spans 2*scale; a symmetric entry sums N! draws
+    if not 0.0 <= terms * scale < math.inf:
+        raise ModelError(f"scale must be >= 0 with {terms}*scale finite, got {scale}")
+    shape = (dim,) * order
+    stack = np.random.default_rng(seed).uniform(-scale, scale, size=(count, dim**order))
     if kind == "e_symmetric":
-        return [random_e_symmetric(rng, order // 2, dim, scale) for _ in range(count)]
-    if kind == "fully_symmetric":
-        return [random_fully_symmetric(rng, order, dim, scale) for _ in range(count)]
-    return [random_tensor(rng, (dim,) * order, scale) for _ in range(count)]
+        # (M + M^T) / 2 of each paired-mode unfolding M
+        mats = stack.reshape(count, dim ** (order // 2), -1)
+        stack = ((mats + mats.transpose(0, 2, 1)) / 2.0).reshape(count, -1)
+    elif kind == "fully_symmetric":
+        base = stack.reshape(count, *shape)
+        acc = sum(base.transpose(0, *p) for p in permutations(range(1, order + 1)))
+        # mode 1 fastest: each tensor's axes reversed, then a row-major flatten
+        stack = (acc / perms).transpose(0, *range(order, 0, -1)).reshape(count, -1)
+    return shape, stack
 
 
 def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
@@ -159,11 +164,9 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
     law = _require(doc, "law", "model")
     if law not in ("rademacher", "subsample"):
         raise ModelError(f"unknown law {law!r}")
-    has_components = "components" in doc
-    has_generate = "generate" in doc
-    if has_components == has_generate:
+    if ("components" in doc) == ("generate" in doc):
         raise ModelError("exactly one of 'components' or 'generate' is required")
-    if has_components:
+    if "components" in doc:
         specs = doc["components"]
         if not isinstance(specs, list) or not specs:
             raise ModelError("'components' must be a non-empty list")
@@ -172,30 +175,24 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
         for s in specs:
             components.append(_tensor_from_spec(s, base_dir, budget))
             budget -= components[-1].size
+        shape, stack = _stack_components(components)
     else:
-        components = _generate_components(doc["generate"])
+        shape, stack = _generate_components(doc["generate"])
 
-    try:
-        if law == "rademacher":
-            for key in ("sample_size", "with_replacement"):
-                if key in doc:
-                    raise ModelError(f"{key!r} is only valid for the subsample law")
-            return SumModel.rademacher(components)
-        sample_size = _int(
-            _require(doc, "sample_size", "model"), "sample_size", MAX_MODEL_ENTRIES
-        )
-        # an archived key: drawing with replacement is the only law
-        if not isinstance(doc.get("with_replacement", True), bool):
-            raise ModelError("with_replacement must be a boolean")
-        if not doc.get("with_replacement", True):
-            raise ModelError(
-                "subsampling without replacement breaks independence; refused"
-            )
-        return SumModel.subsample(components, sample_size)
-    except ModelError:
-        raise
-    except EinbernError as exc:
-        raise ModelError(str(exc)) from exc
+    if law == "rademacher":
+        for key in ("sample_size", "with_replacement"):
+            if key in doc:
+                raise ModelError(f"{key!r} is only valid for the subsample law")
+        return SumModel(shape, stack)
+    sample_size = _int(
+        _require(doc, "sample_size", "model"), "sample_size", MAX_MODEL_ENTRIES
+    )
+    # an archived key: drawing with replacement is the only law
+    if not isinstance(doc.get("with_replacement", True), bool):
+        raise ModelError("with_replacement must be a boolean")
+    if not doc.get("with_replacement", True):
+        raise ModelError("subsampling without replacement breaks independence; refused")
+    return SumModel(shape, stack - stack.mean(axis=0), Subsample(sample_size))
 
 
 def grid_points(start: float, stop: float, num: int) -> tuple:

@@ -94,8 +94,8 @@ def sample_sum(model: SumModel, rng: np.random.Generator) -> Tensor:
 
     The scalar path: one weight row from ``rng``, times the stack.
     """
-    flat = model.law.weights(rng, len(model.components)) @ model.stack
-    return Tensor(model.components[0].shape, flat, copy=False)
+    flat = model.law.weights(rng, len(model.stack)) @ model.stack
+    return Tensor(model.shape, flat, copy=False)
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ class ExperimentResult:
 
 
 def _chunk_size(model: SumModel) -> int:
-    count = model.law.draws(len(model.components))[1]
-    widest = max(*model.stack.shape, count)
+    widest = max(*model.stack.shape, model.num_summands)
     return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * widest)))
 
 
@@ -137,7 +136,7 @@ def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:
     """Per-trial statistic ``kind``, one chunk of trials at a time."""
     model = config.model
     law = model.law
-    k = len(model.components)
+    k = len(model.stack)
     draws = TrialDraws(config.seed, *law.draws(k))
     chunk = _chunk_size(model)
     out = np.empty(config.trials)

@@ -53,7 +53,8 @@ class TestSumModel:
         good = Tensor((2, 2), np.eye(2).ravel())
         with pytest.raises(ModelError, match="non-finite"):
             SumModel.rademacher([good, bad])
-        with pytest.raises(ModelError, match="non-finite"):
+        # checked before centering, which would spread it to every row
+        with pytest.raises(ModelError, match="in 1 of 2 components, first at index 1"):
             SumModel.subsample([good, bad], 2)
 
     def test_shape_agreement(self):
@@ -77,15 +78,16 @@ class TestSumModel:
     def test_uncentered_population_rejected(self):
         comp = identity_tensor(1, 2)
         with pytest.raises(ModelError, match="not centered"):
-            SumModel([comp], Subsample(2))
+            SumModel(comp.shape, comp.data[None], Subsample(2))
         # the law's own check, on an uncentered and a centered stack
         with pytest.raises(ModelError, match="not centered"):
             Subsample(2).check_stack(np.array([[1.0, 0.0], [0.5, 0.0]]))
         Subsample(2).check_stack(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
     def test_unsupported_law_rejected(self):
+        comp = identity_tensor(1, 2)
         with pytest.raises(ModelError, match="unsupported randomness law"):
-            SumModel([identity_tensor(1, 2)], object())
+            SumModel(comp.shape, comp.data[None], object())
 
     @pytest.mark.parametrize("size", [2.5, True, 0, -1])
     def test_sample_size_must_be_a_positive_integer(self, size):
@@ -120,6 +122,31 @@ class TestSumModel:
             assert np.shares_memory(c.data, model.stack)
         with pytest.raises(ValueError):
             model.stack[0, 0] = 1.0
+
+    def test_built_from_shape_and_stack(self):
+        stack = np.random.default_rng(21).uniform(-1, 1, size=(3, 8))
+        model = SumModel((2, 2, 2), stack)
+        assert model.stack is stack and not stack.flags.writeable
+        assert model.shape == (2, 2, 2) and model.num_summands == 3
+        centered = stack - stack.mean(axis=0)
+        assert SumModel((2, 2, 2), centered, Subsample(2)).stack is centered
+        with pytest.raises(ModelError, match="in 1 of 1 components, first at index 0"):
+            SumModel((2, 2), np.array([[1.0, 0.0, 0.0, math.nan]]))
+        for shape, rows in [((2, 2), np.zeros((1, 3))), ((2, 2), np.zeros((0, 4))),
+                            ((2, 2), np.zeros(4))]:
+            with pytest.raises(ModelError, match="cannot hold"):
+                SumModel(shape, rows)
+        with pytest.raises(ModelError, match="Tensor instances"):
+            SumModel.rademacher([np.eye(2)])
+
+    def test_stack_given_as_a_view_is_copied(self):
+        big = np.random.default_rng(22).uniform(-1, 1, size=(3, 8))
+        model = SumModel((2, 2, 2), big[:])
+        kept = model.stack.copy()
+        big[0, 0] = 5.0
+        assert big.flags.writeable and not model.stack.flags.writeable
+        assert not np.shares_memory(model.stack, big)
+        assert np.array_equal(model.stack, kept)
 
     def test_even_symmetry_at_other_tolerance(self):
         defect = 1e-9

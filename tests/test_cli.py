@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import einbern
@@ -25,7 +25,9 @@ from einbern import (
     load_experiment,
     load_model,
     model_from_dict,
+    random_e_symmetric,
     random_fully_symmetric,
+    random_tensor,
     run_experiment,
     write_tensor_text,
 )
@@ -147,6 +149,95 @@ class TestConfigLoading:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ModelError):
             load_model(str(path))
+
+    def test_loading_builds_no_tensor_per_component(self, tmp_path, monkeypatch):
+        # the simulate-subsample-o3 bench model: 400 general order-3 tensors
+        doc = {
+            "schema": 1,
+            "model": {"law": "subsample", "sample_size": 400,
+                      "generate": {"count": 400, "order": 3, "dim": 2, "seed": 0}},
+            "trials": 200,
+            "t_grid": [10.0, 20.0],
+            "seed": 0,
+            "theorem": "intrinsic",
+        }
+        path = write_json(tmp_path / "exp.json", doc)
+        calls = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        model = load_experiment(path).model
+        assert len(calls) <= 2
+        comps = model.components
+        assert len(comps) == 400
+        for k, c in enumerate(comps):
+            assert isinstance(c, Tensor) and c.shape == (2, 2, 2)
+            assert np.array_equal(c.data, model.stack[k])
+            assert np.shares_memory(c.data, model.stack)
+            assert not c.data.flags.writeable
+        assert model.components is comps
+
+
+_ORACLES = {
+    "general": lambda rng, order, dim, scale: random_tensor(rng, (dim,) * order, scale),
+    "e_symmetric": lambda rng, order, dim, scale: random_e_symmetric(
+        rng, order // 2, dim, scale),
+    "fully_symmetric": random_fully_symmetric,
+}
+
+
+@given(
+    kind=st.sampled_from(sorted(_ORACLES)),
+    count=st.integers(min_value=1, max_value=60),
+    order=st.integers(min_value=1, max_value=6),
+    dim=st.integers(min_value=1, max_value=3),
+    scale=st.sampled_from([0.0, 0.5, 3.0]),
+    seed=st.one_of(st.just(0), st.integers(min_value=2**64 + 1, max_value=2**80)),
+    law=st.sampled_from(["rademacher", "subsample"]),
+)
+@example(kind="fully_symmetric", count=31, order=6, dim=3, scale=3.0, seed=2**64 + 1,
+         law="subsample")
+@example(kind="e_symmetric", count=60, order=6, dim=3, scale=0.5, seed=0,
+         law="rademacher")
+@example(kind="general", count=60, order=6, dim=3, scale=0.0, seed=0, law="subsample")
+@settings(max_examples=60, deadline=None)
+def test_generated_stack_equals_per_component_oracles(
+    kind, count, order, dim, scale, seed, law
+):
+    if kind == "e_symmetric":
+        order += order % 2
+    perms = math.factorial(order) if kind == "fully_symmetric" else 1
+    assume(count * perms * dim**order <= MAX_MODEL_ENTRIES)
+    doc = {"law": law, "generate": {"count": count, "order": order, "dim": dim,
+                                    "seed": seed, "kind": kind, "scale": scale}}
+    if law == "subsample":
+        doc["sample_size"] = 5
+    model = model_from_dict(doc)
+    rng = np.random.default_rng(seed)
+    oracle = np.stack([_ORACLES[kind](rng, order, dim, scale).data
+                       for _ in range(count)])
+    if law == "subsample":
+        oracle = oracle - oracle.mean(axis=0)
+    assert model.shape == (dim,) * order
+    assert np.array_equal(model.stack, oracle)
+
+
+@pytest.mark.parametrize("law", ["rademacher", "subsample"])
+def test_fully_symmetric_scale_whose_permutation_sum_overflows_is_refused(law):
+    # six permutations of draws near 5e307 sum past the float range; the
+    # scale is refused before any entry is drawn, so none reaches centering
+    doc = {"law": law, "generate": {"count": 4, "order": 3, "dim": 2, "seed": 0,
+                                    "kind": "fully_symmetric", "scale": 5e307}}
+    if law == "subsample":
+        doc["sample_size"] = 2
+    with pytest.raises(ModelError, match=r"6\*scale finite, got 5e\+307"):
+        model_from_dict(doc)
+    doc["generate"]["scale"] = 2e307
+    assert np.isfinite(model_from_dict(doc).stack).all()
 
 
 class TestVerifyCommand:
@@ -610,6 +701,8 @@ def test_field_test_doc_is_valid(tmp_path):
         (["confidence_slack"], True),
         (["model", "generate", "scale"], "abc"),
         (["model", "generate", "scale"], 10**400),
+        (["model", "generate", "scale"], -1.0),
+        (["model", "generate", "scale"], 1e308),
         (["model", "generate", "seed"], -1),
         (["t_grid"], ["a", 1.0]),
         (["t_grid"], {"start": "x", "stop": 1.0, "num": 3}),
@@ -629,6 +722,7 @@ def test_field_test_doc_is_valid(tmp_path):
                                   "kind": "fully_symmetric"}}),
     ],
     ids=["slack-string", "slack-bool", "scale-string", "scale-beyond-float",
+         "scale-negative", "scale-range-overflows",
          "negative-generate-seed",
          "grid-string", "grid-start-string", "grid-num-oversized",
          "trials-oversized", "sample-size-oversized", "sample-size-zero",
