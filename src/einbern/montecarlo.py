@@ -66,6 +66,10 @@ class ExperimentConfig:
     theorem: str = "auto"
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ModelError(f"{name} must be an integer, got {value!r}")
         if self.trials < 100:
             raise ModelError(f"at least 100 trials are required, got {self.trials}")
         grid = tuple(float(t) for t in self.t_grid)
@@ -78,8 +82,8 @@ class ExperimentConfig:
             raise ModelError("t_grid must be strictly ascending")
         if grid[0] < 0:
             raise ModelError("t values must be nonnegative")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ModelError("seed must be a nonnegative integer")
+        if self.seed < 0:
+            raise ModelError(f"seed must be nonnegative, got {self.seed}")
         if not math.isfinite(self.confidence_slack) or self.confidence_slack < 0:
             raise ModelError(
                 f"confidence_slack must be finite and nonnegative, "

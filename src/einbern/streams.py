@@ -165,6 +165,9 @@ class TrialDraws:
     def __init__(self, seed: int, bound: int, count: int):
         if not 1 <= bound <= 1 << 32:
             raise ValueError(f"bound must be in [1, 2^32], got {bound}")
+        if seed < 0:
+            # numpy's SeedSequence refuses it too; ``_words`` would not end
+            raise ValueError(f"seed must be nonnegative, got {seed}")
         self.seed = int(seed)
         self.bound = int(bound)
         self.count = int(count)

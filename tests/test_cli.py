@@ -509,15 +509,97 @@ class TestOversizedInputs:
         assert self.run_bound(tmp_path, doc) == 2
 
 
-def run_cli(*args):
-    """Run the CLI in a fresh interpreter, so stderr is what a user sees."""
+def run_python(*args, env=None):
+    """Run Python in a fresh interpreter that imports this einbern.
+
+    ``env`` sets variables on top of this process's environment; a value
+    of None unsets one."""
     src = str(Path(einbern.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+    full = dict(os.environ)
+    for name, value in (env or {}).items():
+        if value is None:
+            full.pop(name, None)
+        else:
+            full[name] = value
+    full["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, full.get("PYTHONPATH")) if p
     )
-    return subprocess.run([sys.executable, "-m", "einbern.cli", *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args],
+                          env=full, capture_output=True, text=True, timeout=120)
+
+
+def run_cli(*args, env=None):
+    """Run the CLI in a fresh interpreter, so stderr is what a user sees."""
+    return run_python("-m", "einbern.cli", *args, env=env)
+
+
+# K=500 order-6 dim-3 components: the 13500x27 Gram that L is computed
+# from (m*n*k about 9.8e6) is large enough for OpenBLAS to thread it
+# when it may
+_LARGE_E_SYMMETRIC = {"schema": 1, "law": "rademacher",
+                      "generate": {"count": 500, "order": 6, "dim": 3,
+                                   "seed": 0, "kind": "e_symmetric"}}
+
+
+@pytest.mark.parametrize("theorem", ["even", "intrinsic", None],
+                         ids=["bound-even", "bound-intrinsic", "simulate"])
+def test_blas_thread_count_changes_no_result(tmp_path, theorem):
+    if theorem:
+        config = write_json(tmp_path / "model.json", _LARGE_E_SYMMETRIC)
+        args = ["bound", "--config", config, "--theorem", theorem,
+                "--t-grid", "0:200:41"]
+    else:
+        config = str(TestShippedDemos.demo_dir / "experiment_even.json")
+        args = ["simulate", "--config", config]
+    out = tmp_path / "out.csv"
+    runs = []
+    for threads in ("1", "2"):
+        proc = run_cli(*args, "--out", str(out),
+                       env={"OPENBLAS_NUM_THREADS": threads})
+        runs.append((proc.returncode, proc.stdout, out.read_bytes()))
+        out.unlink()
+    assert runs[0][0] == 0, runs[0][1]
+    assert runs[0] == runs[1]
+
+
+_COUNT_THREADS = "len(os.listdir('/proc/self/task'))"
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="threads are counted in /proc/self/task")
+class TestBlasThreadPolicy:
+    """``import einbern`` loads numpy with one BLAS thread unless the
+    caller chose otherwise, and leaves the environment as it was."""
+
+    @staticmethod
+    def report(code, threads=None):
+        proc = run_python("-c", f"import os\n{code}",
+                          env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_import_starts_no_blas_worker(self):
+        threads, variable = self.report(
+            "import einbern\n"
+            f"print({_COUNT_THREADS}, os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert (threads, variable) == ("1", "None")
+
+    @pytest.mark.skipif(_CPUS < 2, reason="OpenBLAS starts at most one thread per CPU")
+    def test_count_set_by_caller_wins(self):
+        threads, variable = self.report(
+            "import einbern\n"
+            f"print({_COUNT_THREADS}, os.environ.get('OPENBLAS_NUM_THREADS'))",
+            threads="2")
+        assert (threads, variable) == ("2", "2")
+
+    def test_numpy_loaded_first_keeps_its_threads(self):
+        before, after = self.report(
+            f"import numpy\nprint({_COUNT_THREADS})\n"
+            f"import einbern\nprint({_COUNT_THREADS})")
+        alone, = self.report(f"import numpy\nprint({_COUNT_THREADS})")
+        assert before == after == alone
 
 
 def test_overflowing_grid_span_exits_2_without_warnings(tmp_path):

@@ -107,20 +107,22 @@ class TestSampleSum:
 
 
 class TestExperimentConfig:
-    def test_minimum_trials(self):
+    @pytest.mark.parametrize("trials", [99, 100.5, float("inf"), True])
+    def test_minimum_trials(self, trials):
         model = small_even_model()
         with pytest.raises(ModelError):
-            ExperimentConfig(model=model, trials=99, t_grid=(0.0, 1.0), seed=0)
+            ExperimentConfig(model=model, trials=trials, t_grid=(0.0, 1.0), seed=0)
 
     def test_grid_must_ascend(self):
         model = small_even_model()
         with pytest.raises(ModelError):
             ExperimentConfig(model=model, trials=100, t_grid=(1.0, 0.5), seed=0)
 
-    def test_negative_seed_rejected(self):
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, float("inf"), float("nan")])
+    def test_negative_seed_rejected(self, seed):
         model = small_even_model()
         with pytest.raises(ModelError):
-            ExperimentConfig(model=model, trials=100, t_grid=(0.0,), seed=-1)
+            ExperimentConfig(model=model, trials=100, t_grid=(0.0,), seed=seed)
 
     def test_unknown_theorem(self):
         model = small_even_model()

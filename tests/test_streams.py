@@ -65,3 +65,10 @@ def test_bound_must_fit_32_bits():
         TrialDraws(0, 2**32 + 1, 4)
     with pytest.raises(ValueError):
         TrialDraws(0, 0, 4)
+
+
+def test_seed_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        np.random.default_rng([-1, 0])
+    with pytest.raises(ValueError, match="seed"):
+        TrialDraws(-1, 2, 4)
