@@ -24,9 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import matricize, matricize_rows, unmatricize
-from .errors import (
-    ApplicabilityError, DomainError, ModelError, NumericalError, SymmetryError
-)
+from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
 from .spectral import (
     e_eigenvalues, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
 )
@@ -185,7 +183,6 @@ class SumModel:
     shape: tuple
     stack: np.ndarray = field(repr=False)
     law: Rademacher | Subsample = Rademacher()
-    _even_symmetric: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         shape = tuple(self.shape)
@@ -237,16 +234,17 @@ class SumModel:
         # each draw picks one summand
         return self.law.draws(len(self.stack))[1]
 
-    def is_even_symmetric(self, tol: float = DEFAULT_TOL) -> bool:
+    @cached_property
+    def _even_symmetric(self) -> bool:
+        return self.order % 2 == 0 and bool(e_symmetric_rows(self.stack).all())
+
+    def is_even_symmetric(self) -> bool:
         """True when the even-order, pairwise-symmetric bound applies.
 
-        Checked once per tolerance, over the whole stack.
+        The one decision of E-symmetry: each component is measured at
+        DEFAULT_TOL against its own largest entry, once per model.
         """
-        if tol not in self._even_symmetric:
-            self._even_symmetric[tol] = self.order % 2 == 0 and bool(
-                e_symmetric_rows(self.stack, tol).all()
-            )
-        return self._even_symmetric[tol]
+        return self._even_symmetric
 
 
 def statistic(model: SumModel, theorem: str) -> tuple:
@@ -268,16 +266,15 @@ def stack_statistics(model: SumModel, rows: np.ndarray, kind: str) -> np.ndarray
     """Statistic ``kind`` of each row of a (B, d**N) stack of tensors
     shaped like the model's components.
 
-    Non-finite rows or results are a NumericalError; the eigenvalue
-    kinds need E-symmetric rows and raise SymmetryError otherwise.
+    Non-finite rows or results are a NumericalError.  The eigenvalue
+    kinds are asked for only when the model is E-symmetric, and solve
+    the symmetric part of each row's square unfolding.
     """
     if not np.isfinite(rows).all():
         raise NumericalError("a summed tensor has non-finite entries (overflow)")
     mats = matricize_rows(rows, model.order, model.dim)
     if kind == "sigma_max":
         out = top_singular_values(mats)
-    elif not e_symmetric_rows(rows).all():
-        raise SymmetryError("summed tensor is not Einstein-symmetric within tolerance")
     else:
         values = sym_eigvals(mats)
         top = values[:, -1]
@@ -290,23 +287,16 @@ def stack_statistics(model: SumModel, rows: np.ndarray, kind: str) -> np.ndarray
 def uniform_bound_L(model: SumModel, kind: str | None = None) -> float:
     """Smallest uniform cap on the per-summand statistic.
 
-    ``kind`` "even" caps the largest eigenvalue of each realizable
-    summand; "general" caps its spectral norm.  Both enumerate the finite
+    ``kind`` is a theorem name, resolved by ``resolve_theorem``: the
+    even bound caps the largest eigenvalue of each realizable summand,
+    the others cap its spectral norm.  Both enumerate the finite
     realization set exactly: two signs per component under Rademacher
     (so the even cap is the eigenvalue magnitude), one scaled tensor per
     population member under subsampling.
     """
-    if kind is None:
-        kind = "even" if model.is_even_symmetric() else "general"
-    if kind not in ("even", "general"):
-        raise DomainError(f"unknown bound kind {kind!r}")
-    if kind == "even" and not model.is_even_symmetric():
-        raise ApplicabilityError(
-            "eigenvalue cap needs an even order and pairwise-symmetric components"
-        )
-    stat = "abs_eig" if model.law.signed else "lambda_max"
-    if kind == "general":
-        stat = "sigma_max"
+    stat = "sigma_max"
+    if resolve_theorem(model, kind or "auto") == "even":
+        stat = "abs_eig" if model.law.signed else "lambda_max"
     scale = model.law.scale(len(model.stack))
     best = scale * stack_statistics(model, model.stack, stat).max()
     return float(max(best, 0.0))
@@ -329,10 +319,7 @@ def einstein_second_moment(model: SumModel) -> Tensor:
     product of the side-by-side unfoldings H = [X_1 ... X_K]: H H^T.
     The columns of H are the length-d**m rows of the reshaped stack.
     """
-    if model.order % 2:
-        raise ApplicabilityError("the Einstein square needs an even order")
-    if not model.is_even_symmetric():
-        raise ApplicabilityError("components must be pairwise symmetric")
+    resolve_theorem(model, "even")
     n = model.dim ** model.split
     # per subsample draw: the mean of the n population squares times
     # (n/s)^2, summed over the s draws, is n/s times their sum
@@ -418,7 +405,8 @@ def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
 
     The raw value can exceed 1; the clamped value is capped there for
     reporting.  A deterministic zero sum (nu = L = 0) has zero tail for
-    every positive t.
+    every positive t.  Where t^2 or the denominator overflows, the same
+    exponent is evaluated as t/2 / (nu/t + L/3).
     """
     if not all(math.isfinite(x) for x in (t, nu, L, dim_factor)):
         raise DomainError(
@@ -434,7 +422,13 @@ def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
     elif nu == 0.0 and L == 0.0:
         raw = 0.0
     else:
-        raw = float(dim_factor) * math.exp(-(t * t) / 2.0 / (nu + L * t / 3.0))
+        square, denom = t * t, nu + L * t / 3.0
+        if math.isfinite(square) and math.isfinite(denom):
+            exponent = square / 2.0 / denom
+        else:
+            slope = nu / t + L / 3.0
+            exponent = 0.5 * t / slope if slope > 0.0 else math.inf
+        raw = float(dim_factor) * math.exp(-exponent)
     return TailBound(raw=raw, clamped=min(1.0, raw))
 
 
@@ -491,6 +485,10 @@ class BernsteinReport:
                 )
             tail_factor, mean = 4.0 * self.dv, None
             domain_min = math.sqrt(self.nu) + self.L / 3.0
+        if mean is not None and not math.isfinite(mean):
+            raise NumericalError(
+                f"the mean bound overflowed: L={self.L}, nu={self.nu}"
+            )
         object.__setattr__(self, "dim_factor", dim_factor)
         object.__setattr__(self, "tail_factor", tail_factor)
         object.__setattr__(self, "expectation_bound", mean)
@@ -604,10 +602,9 @@ def build_report(model: SumModel, theorem: str = "auto") -> BernsteinReport:
     """Compute every bound quantity of the chosen theorem for a model."""
     theorem = resolve_theorem(model, theorem)
     shape = (model.order, model.dim, model.split)
+    L = uniform_bound_L(model, theorem)
     if theorem == "even":
-        return BernsteinReport("even", *shape, uniform_bound_L(model, "even"),
-                               variance_even(model))
-    L = uniform_bound_L(model, "general")
+        return BernsteinReport("even", *shape, L, variance_even(model))
     gv = variance_general(model)
     if theorem == "general":
         return BernsteinReport("general", *shape, L, gv.nu)

@@ -111,9 +111,11 @@ def cmd_bound(args) -> int:
                 file=sys.stderr,
             )
         grid = kept
-    sys.stdout.write(format_report(report))
+    # a failing tail point or file leaves no report and no CSV behind
+    csv = format_tail_csv(report, grid)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_tail_csv(report, grid))
+        fh.write(csv)
+    sys.stdout.write(format_report(report))
     return EXIT_OK
 
 

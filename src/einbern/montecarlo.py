@@ -30,7 +30,7 @@ from .bounds import (
     stack_statistics,
     statistic,
 )
-from .errors import ApplicabilityError, ModelError
+from .errors import ApplicabilityError, ModelError, NumericalError
 from .streams import TrialDraws, trial_rng
 from .tensor import Tensor
 
@@ -166,6 +166,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     name, kind = statistic(config.model, report.theorem)
     stats = _collect_statistics(config, kind)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(stats.mean()), float(stats.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise NumericalError("the mean or std of the trial statistics overflowed")
+
     trials = config.trials
     rows = []
     for t, (raw, clamped) in zip(config.t_grid, tails):
@@ -192,8 +197,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         statistic=name,
         trials=trials,
         seed=config.seed,
-        empirical_mean_max=float(stats.mean()),
-        empirical_std=float(stats.std(ddof=1)),
+        empirical_mean_max=mean,
+        empirical_std=std,
         rows=tuple(rows),
         bound_report=report,
     )

@@ -320,6 +320,19 @@ class TestBoundCommand:
         lines = out.read_text().strip().splitlines()
         assert 1 < len(lines) < 17
 
+    @pytest.mark.parametrize("case", ["negative-grid", "unwritable-out"])
+    def test_failing_tail_curve_leaves_no_output(self, tmp_path, capsys, case):
+        config = write_json(tmp_path / "model.json", even_model_doc())
+        grid, out = "--t-grid=0:1:3", tmp_path / "missing" / "a.csv"
+        if case == "negative-grid":
+            grid, out = "--t-grid=-1:1:3", tmp_path / "a.csv"
+        assert main(["bound", "--config", config, "--theorem", "even", grid,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out.exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["bound", "--config", str(tmp_path / "none.json"),
                      "--theorem", "even", "--t-grid", "0:1:2",
@@ -430,30 +443,32 @@ class TestSimulateCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_asymmetric_trial_sum_exits_2(self, tmp_path, capsys):
-        # both components pass the symmetry check at their own scale; a
-        # sum with mixed signs keeps only the antisymmetric defect
-        doc = {
-            "schema": 1,
-            "model": {
-                "law": "rademacher",
-                "components": [
-                    {"shape": [2, 2],
-                     "entries": [[1, 1, 1.0], [1, 2, 4e-13], [2, 1, -4e-13],
-                                 [2, 2, 1.0]]},
-                    {"shape": [2, 2], "entries": [[1, 1, 1.0], [2, 2, 1.0]]},
-                ],
-            },
-            "trials": 100,
-            "t_grid": [0.0, 1.0],
-            "seed": 0,
-            "theorem": "even",
-        }
-        config = write_json(tmp_path / "exp.json", doc)
-        out = tmp_path / "x.csv"
-        assert main(["simulate", "--config", config, "--out", str(out)]) == 2
-        assert "not Einstein-symmetric" in capsys.readouterr().err
-        assert not out.exists()
+    @pytest.mark.parametrize("theorem", ["even", "auto", "general"])
+    def test_asymmetric_trial_sum_exits_0(self, tmp_path, capsys, theorem):
+        # each model's components pass the symmetry check at their own
+        # scale, so bound certifies it, although a sum with mixed signs
+        # keeps only the antisymmetric defect; simulate agrees with bound
+        for first in ([[1, 1, 1.0], [1, 2, 4e-13], [2, 1, -4e-13], [2, 2, 1.0]],
+                      [[1, 1, 1.0], [1, 2, 1.0000000000001], [2, 1, 1.0],
+                       [2, 2, 1.0]]):
+            model = {"law": "rademacher", "components": [
+                {"shape": [2, 2], "entries": first},
+                {"shape": [2, 2], "entries": [[1, 1, 1.0], [1, 2, 1.0],
+                                              [2, 1, 1.0], [2, 2, 1.0]]},
+            ]}
+            config = write_json(tmp_path / "model.json", {"schema": 1, **model})
+            assert main(["bound", "--config", config, "--theorem", "even",
+                         "--t-grid", "0:2:3", "--out", str(tmp_path / "b.csv")]) == 0
+            doc = {"schema": 1, "model": model, "trials": 100,
+                   "t_grid": [0.5, 1.0, 2.0], "seed": 0, "theorem": theorem}
+            config = write_json(tmp_path / "exp.json", doc)
+            out = tmp_path / "x.csv"
+            capsys.readouterr()
+            assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.endswith("tail_verdicts=3/3 pass\n")
+            assert captured.err == ""
+            assert out.exists()
 
 
 class TestOversizedInputs:
@@ -619,6 +634,51 @@ def test_overflowing_grid_span_exits_2_without_warnings(tmp_path):
     assert proc.returncode == 2
     assert "finite" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def big_diagonal_model():
+    # one order-4, dim-3 component with its nine unfolding-diagonal
+    # entries 7e153: L = 7e153 and nu = 4.9e307, so 2 nu m log d overflows
+    entries = [[i, j, i, j, 7e153] for i in (1, 2, 3) for j in (1, 2, 3)]
+    return {"law": "rademacher",
+            "components": [{"shape": [3, 3, 3, 3], "entries": entries}]}
+
+
+class TestOverflowingQuantities:
+    def assert_exit_4(self, proc, out, message):
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+        assert not out.exists()
+
+    def test_mean_bound_overflow_exits_4_in_bound(self, tmp_path):
+        config = write_json(tmp_path / "model.json",
+                            {"schema": 1, **big_diagonal_model()})
+        out = tmp_path / "a.csv"
+        proc = run_cli("bound", "--config", config, "--theorem", "even",
+                       "--t-grid", "0:3e154:4", "--out", str(out))
+        self.assert_exit_4(proc, out, "mean bound overflowed")
+
+    def test_mean_bound_overflow_exits_4_in_simulate(self, tmp_path):
+        doc = {"schema": 1, "model": big_diagonal_model(), "trials": 100,
+               "t_grid": [0.0, 1e154], "seed": 0, "theorem": "general"}
+        config = write_json(tmp_path / "exp.json", doc)
+        out = tmp_path / "a.csv"
+        proc = run_cli("simulate", "--config", config, "--out", str(out))
+        self.assert_exit_4(proc, out, "mean bound overflowed")
+
+    def test_trial_std_overflow_exits_4(self, tmp_path):
+        # the bound is finite, but the squared deviations of the trial
+        # statistics overflow
+        component = {"shape": [2, 2], "entries": [[1, 1, 1e153], [2, 2, 1e153]]}
+        doc = {"schema": 1,
+               "model": {"law": "rademacher", "components": [component] * 50},
+               "trials": 100, "t_grid": [0.0, 1e154], "seed": 0, "theorem": "even"}
+        config = write_json(tmp_path / "exp.json", doc)
+        out = tmp_path / "a.csv"
+        proc = run_cli("simulate", "--config", config, "--out", str(out))
+        self.assert_exit_4(proc, out, "std of the trial statistics overflowed")
 
 
 class TestExample45Command:
