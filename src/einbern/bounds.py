@@ -508,8 +508,13 @@ class BernsteinReport:
         return tail_bound(t, self.nu, self.L, self.tail_factor)
 
 
-def _trace_of(t: Tensor) -> float:
-    return float(np.trace(matricize(t)))
+def _trace(matrix: np.ndarray, label: str) -> float:
+    """The trace of ``matrix``; NumericalError naming ``label`` on overflow."""
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(matrix))
+    if not math.isfinite(trace):
+        raise NumericalError(f"the trace of the {label} overflowed")
+    return trace
 
 
 def _check_e_psd(t: Tensor, label: str) -> np.ndarray:
@@ -565,16 +570,15 @@ def intrinsic_report(
         raise ApplicabilityError(
             "zero variance leaves the intrinsic dimension undefined"
         )
-    dv = (_trace_of(v_outer) + _trace_of(v_inner)) / nu
-
     # block matrix [[f(v_outer)^T, 0], [0, f(v_inner)]]
     fo = matricize(v_outer).T
     fi = matricize(v_inner)
+    dv = (_trace(fo, "outer variance bound") + _trace(fi, "inner variance bound")) / nu
     block = np.zeros((fo.shape[0] + fi.shape[0],) * 2)
     block[: fo.shape[0], : fo.shape[1]] = fo
     block[fo.shape[0] :, fo.shape[1] :] = fi
     block_values = sym_eig(block).values
-    dv_matrix = float(np.trace(block)) / float(block_values[0])
+    dv_matrix = _trace(block, "variance block matrix") / float(block_values[0])
     if abs(dv - dv_matrix) > 1e-12 * max(1.0, abs(dv)):
         raise NumericalError(
             f"intrinsic dimension mismatch: {dv} from traces, "

@@ -17,6 +17,7 @@ import numpy as np
 from .bounds import Subsample, SumModel, _stack_components
 from .errors import ModelError
 from .montecarlo import ExperimentConfig
+from .streams import uniform
 from .tensor import Tensor, linearize, read_tensor_text
 
 __all__ = [
@@ -118,8 +119,9 @@ def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> T
 
 
 def _generate_components(spec: dict) -> tuple:
-    """(shape, stack) from one uniform draw; row k equals the k-th of
-    ``count`` successive draws of the per-tensor ``random_*`` generators."""
+    """(shape, stack) from one ``streams.uniform`` draw; row k equals the
+    k-th of ``count`` successive draws of the per-tensor ``random_*``
+    generators from ``default_rng(seed)``."""
     _check_keys(spec, _GENERATE_KEYS, "generate")
     count = _int(_require(spec, "count", "generate"), "count")
     order = _int(_require(spec, "order", "generate"), "order")
@@ -145,7 +147,7 @@ def _generate_components(spec: dict) -> tuple:
     if not 0.0 <= terms * scale < math.inf:
         raise ModelError(f"scale must be >= 0 with {terms}*scale finite, got {scale}")
     shape = (dim,) * order
-    stack = np.random.default_rng(seed).uniform(-scale, scale, size=(count, dim**order))
+    stack = uniform(seed, -scale, scale, count * dim**order).reshape(count, -1)
     if kind == "e_symmetric":
         # (M + M^T) / 2 of each paired-mode unfolding M
         mats = stack.reshape(count, dim ** (order // 2), -1)

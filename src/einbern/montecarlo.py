@@ -3,8 +3,8 @@
 Trials run in fixed-size chunks, and each decision has one owner:
 
 - ``streams.TrialDraws`` owns what a trial draws: a chunk's block holds
-  exactly the draws of each trial's own generator ``trial_rng(seed, i)``,
-  however the block is derived;
+  exactly the draws of each trial's own stream ``trial_rng(seed, i)``,
+  derived without building its generator;
 - the model's law owns what the draws mean: ``law.rows`` turns them
   into weight rows;
 - ``bounds.stack_statistics``, the kernel L is computed with, owns the

@@ -1,42 +1,38 @@
-"""Per-trial random streams, and their draws for many trials at once.
+"""Seeded random streams: the model's generated draw and every trial's
+draws, derived in numpy without ``numpy.random``.
 
-Trial i of a run draws from its own generator ``trial_rng(seed, i)``,
-so trials are order-independent.  This module owns what a trial draws:
-``TrialDraws(seed, bound, count).block(start, stop)`` holds, for every
-trial index i in [start, stop), exactly the draws of
-``trial_rng(seed, i).integers(0, bound, size=count)``.
+The streams are numpy's, ported stage by stage, so ``default_rng`` is
+the oracle the tests check them against:
 
-A block of several rows is derived in numpy over the whole block,
-porting numpy's own algorithms stage by stage:
-
-- ``SeedSequence`` entropy mixing of the words of ``[seed, i]`` into a
-  four-word pool, and ``generate_state(4, uint64)`` from it;
+- ``SeedSequence`` entropy mixing of the seed's words into a four-word
+  pool, and ``generate_state(4, uint64)`` from it;
 - PCG64 seeding (``srandom``) and its XSL-RR output (O'Neill 2014, "PCG:
   A Family of Simple Fast Space-Efficient Statistically Good Algorithms
   for Random Number Generation").  The 128-bit state is held in two
-  uint64 limbs, and output j is reached by the jump-ahead
-  ``state_j = A_j * s + C_j * inc`` (mod 2^128) from the seeded state s
-  and increment inc;
-- the bounded draw ``integers`` makes for a bound of at most 2^32:
-  32-bit halves of the outputs, low half first, each mapped to
-  ``(u * bound) >> 32`` (Lemire 2019, "Fast Random Integer Generation in
-  an Interval").
+  uint64 limbs, and the j-th next output is reached by the jump-ahead
+  ``state_j = M^(j+1) * s + (1 + M + ... + M^j) * inc`` (mod 2^128) from
+  the current state s, with the multiplier M and increment inc;
+- ``uniform(seed, lo, hi, size)`` is ``default_rng(seed).uniform(lo,
+  hi, size)``: 53 bits of each output, ``lo + (hi - lo) * u``;
+- ``TrialDraws(seed, bound, count).block(start, stop)`` holds, for every
+  trial index i in [start, stop), the draws of
+  ``trial_rng(seed, i).integers(0, bound, size=count)``: 32-bit halves
+  of the outputs, low half first, each mapped to ``(u * bound) >> 32``
+  (Lemire 2019, "Fast Random Integer Generation in an Interval").
+  A half whose low product word is below ``2^32 mod bound`` is redrawn
+  from the next half of the same stream.
 
-The derivation does not follow a redraw of Lemire's method (a low
-product word below ``2^32 mod bound``): such a row comes from its own
-generator.  It is only as right as the port of numpy's internals, so the
-first derived row of each block is compared with its generator, and on
-a mismatch the whole block is drawn trial by trial.  A block of one row
-comes straight from its generator, and the jump table is built only
-when a block of several rows first needs it: at 2^18 draws per trial,
-building it takes about 0.2 s and one generator row a few milliseconds.
+The stream definition is this module's, so the same seed gives the same
+draws under any numpy release.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-__all__ = ["TrialDraws", "trial_rng"]
+__all__ = ["TrialDraws", "trial_rng", "uniform"]
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -55,21 +51,28 @@ _XSHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
+# outputs per jump-ahead: bounds the jump table and each step's temporaries
+_SEGMENT = 1 << 14
+
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent generator for one trial, derived from (seed, trial)."""
+    """The generator whose draws trial ``trial`` of a run seeded ``seed``
+    makes; ``TrialDraws`` derives the same draws without building it."""
     return np.random.default_rng([int(seed), int(trial)])
 
 
 def _words(n: int) -> list:
     """Little-endian 32-bit words of a nonnegative int, as SeedSequence
-    reads it (zero is one word)."""
+    reads it (zero is one word), each a one-element uint32 array."""
+    if n < 0:
+        # numpy's SeedSequence refuses it too; the loop would not end
+        raise ValueError(f"seed must be nonnegative, got {n}")
     words = [n & _M32]
     n >>= 32
     while n:
         words.append(n & _M32)
         n >>= 32
-    return words
+    return [np.array([w], np.uint32) for w in words]
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -88,7 +91,7 @@ def _mix(x, y):
 
 def _pool(entropy: list) -> list:
     """SeedSequence's ``mix_entropy``: the four pool words, each a uint32
-    array over the trials, from the entropy words (arrays that
+    array over the streams, from the entropy words (arrays that
     broadcast against each other)."""
     const = _INIT_A
     zero = np.zeros(1, np.uint32)
@@ -122,12 +125,9 @@ _U32 = np.uint64(32)
 _LOW = np.uint64(_M32)
 
 
-def _limbs(values: list) -> tuple:
-    """(high, low) uint64 limbs of 128-bit ints."""
-    return (
-        np.array([v >> 64 for v in values], np.uint64),
-        np.array([v & _M64 for v in values], np.uint64),
-    )
+def _limbs(value: int) -> tuple:
+    """(high, low) uint64 limbs of a 128-bit int."""
+    return np.uint64(value >> 64), np.uint64(value & _M64)
 
 
 def _mulhi(a, b):
@@ -158,6 +158,69 @@ def _xsl_rr(state: tuple):
     return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
 
 
+def _seeded(entropy: list) -> tuple:
+    """(state, inc) limb pairs, each limb a (streams, 1) array, of the
+    PCG64 streams seeded from ``SeedSequence(entropy)``: srandom takes
+    the increment ``(initseq << 1) | 1`` and leaves the state
+    ``M * (s + inc) + inc``."""
+    words = [w[:, None] for w in _state_words(_pool(entropy))]
+    inc = (
+        (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63)),
+        (words[3] << np.uint64(1)) | np.uint64(1),
+    )
+    state = _add128(_mul128(_limbs(_PCG_MULT), _add128((words[0], words[1]), inc)), inc)
+    return state, inc
+
+
+@lru_cache(maxsize=8)
+def _jumps(n: int) -> tuple:
+    """(A_j, C_j) limbs, j < n, of the jump-ahead ``state_j = A_j * s +
+    C_j * inc`` to the j-th next output, by doubling: the table for the
+    next k outputs, stepped k further, is the table for the k after."""
+    a = tuple(np.array([x]) for x in _limbs(_PCG_MULT))
+    c = tuple(np.array([x]) for x in _limbs(1))
+    power, total = _PCG_MULT, 1  # M^k and 1 + M + ... + M^(k-1)
+    while len(a[0]) < n:
+        step = _limbs(power)
+        a = tuple(map(np.concatenate, zip(a, _mul128(step, a))))
+        c = tuple(map(np.concatenate, zip(c, _add128(_mul128(step, c), _limbs(total)))))
+        power, total = (power * power) & _M128, (total * (1 + power)) & _M128
+    return tuple(x[:n] for x in a), tuple(x[:n] for x in c)
+
+
+def _outputs(state: tuple, inc: tuple, n: int) -> tuple:
+    """The next ``n`` outputs of each stream, a (streams, n) uint64 array,
+    and the state after them."""
+    jump_a, jump_c = _jumps(min(n, _SEGMENT))
+    out = np.empty((len(state[0]), n), np.uint64)
+    for at in range(0, n, _SEGMENT):
+        width = min(n - at, _SEGMENT)
+        a, c = (tuple(x[:width] for x in jump) for jump in (jump_a, jump_c))
+        states = _add128(_mul128(a, state), _mul128(c, inc))
+        out[:, at : at + width] = _xsl_rr(states)
+        state = tuple(x[:, -1:] for x in states)
+    return out, state
+
+
+def _halves(out: np.ndarray) -> np.ndarray:
+    """The 32-bit halves of each stream's outputs, low half first."""
+    halves = np.stack([out & _LOW, out >> _U32], axis=-1)
+    # the width is explicit: an empty block gives reshape nothing to infer
+    return halves.reshape(len(out), 2 * out.shape[1])
+
+
+def uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
+    """``default_rng(seed).uniform(lo, hi, size)``: ``size`` float64 draws
+    ``lo + (hi - lo) * u``, u the top 53 bits of an output over 2^53."""
+    raw, _ = _outputs(*_seeded(_words(seed)), size)
+    raw >>= np.uint64(11)
+    draws = raw[0] * 2.0**-53  # exact: 53-bit integers over 2^53
+    del raw  # at the 2^24-entry model budget, each array is 128 MiB
+    draws *= hi - lo
+    draws += lo
+    return draws
+
+
 class TrialDraws:
     """The draws ``trial_rng(seed, i).integers(0, bound, size=count)``
     for blocks of trial indices i."""
@@ -165,74 +228,38 @@ class TrialDraws:
     def __init__(self, seed: int, bound: int, count: int):
         if not 1 <= bound <= 1 << 32:
             raise ValueError(f"bound must be in [1, 2^32], got {bound}")
-        if seed < 0:
-            # numpy's SeedSequence refuses it too; ``_words`` would not end
-            raise ValueError(f"seed must be nonnegative, got {seed}")
-        self.seed = int(seed)
+        self._seed_words = _words(int(seed))
         self.bound = int(bound)
         self.count = int(count)
-        self._seed_words = [np.array([w], np.uint32) for w in _words(self.seed)]
-        self._jumps = None
-
-    def row(self, trial: int) -> np.ndarray:
-        """One trial's draws, from its own generator."""
-        return trial_rng(self.seed, trial).integers(0, self.bound, size=self.count)
+        self._threshold = np.uint64((1 << 32) % self.bound)
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """Draws of trials start..stop-1: a (stop - start, count) int64
-        array whose row r is exactly ``self.row(start + r)``."""
+        array whose row r holds the draws of ``trial_rng(seed, start + r)``."""
         if not 0 <= start <= stop <= 1 << 32:
             # a larger index is two entropy words, not one
             raise ValueError(f"trial indices must be below 2^32, got {start}..{stop}")
-        if stop - start == 1:
-            return self.row(start)[None]
-        draws, redo = self._derive(start, stop)
-        kept = np.flatnonzero(~redo)
-        if kept.size and not np.array_equal(
-            draws[kept[0]], self.row(start + kept[0])
-        ):
-            # this numpy derives its streams otherwise than this module
-            return np.stack([self.row(i) for i in range(start, stop)])
-        for r in np.flatnonzero(redo):
-            draws[r] = self.row(start + r)
-        return draws
-
-    def _jump_table(self) -> tuple:
-        """(A_j, C_j) limbs of the jump-ahead to each output j, built once."""
-        if self._jumps is None:
-            # seeding leaves state M*s + (1 + M)*inc; each output steps
-            # state -> M*state + inc first, so output j reads the state
-            # M^(j+1)*s + (1 + M + ... + M^(j+1))*inc
-            a, c = _PCG_MULT, 1 + _PCG_MULT
-            jumps = []
-            for _ in range((self.count + 1) // 2):
-                a = (a * _PCG_MULT) & _M128
-                c = (c * _PCG_MULT + 1) & _M128
-                jumps.append((a, c))
-            self._jumps = _limbs([a for a, _ in jumps]), _limbs([c for _, c in jumps])
-        return self._jumps
-
-    def _derive(self, start: int, stop: int) -> tuple:
-        """(draws, redo) for trials start..stop-1, derived in bulk: row r
-        of ``draws`` is exact unless Lemire's method redraws in it
-        (``redo[r]``)."""
-        rows = stop - start
         if self.bound == 1:
             # integers(0, 1) returns zeros and consumes no output
-            return np.zeros((rows, self.count), np.int64), np.zeros(rows, bool)
+            return np.zeros((stop - start, self.count), np.int64)
         trials = np.arange(start, stop, dtype=np.uint32)
-        words = _state_words(_pool(self._seed_words + [trials]))
-        seed_state = (words[0][:, None], words[1][:, None])
-        # srandom's increment is (initseq << 1) | 1
-        inc = (
-            ((words[2] << np.uint64(1)) | (words[3] >> np.uint64(63)))[:, None],
-            ((words[3] << np.uint64(1)) | np.uint64(1))[:, None],
-        )
-        jump_a, jump_c = self._jump_table()
-        out = _xsl_rr(_add128(_mul128(jump_a, seed_state), _mul128(jump_c, inc)))
-        # the width is explicit: an empty block gives reshape nothing to infer
-        halves = np.stack([out & _LOW, out >> _U32], axis=-1)
-        halves = halves.reshape(rows, 2 * out.shape[1])
-        scaled = halves[:, : self.count] * np.uint64(self.bound)
-        redo = ((scaled & _LOW) < (1 << 32) % self.bound).any(axis=1)
-        return (scaled >> _U32).astype(np.int64), redo
+        state, inc = _seeded(self._seed_words + [trials])
+        out, end = _outputs(state, inc, (self.count + 1) // 2)
+        scaled = _halves(out) * np.uint64(self.bound)
+        draws = (scaled[:, : self.count] >> _U32).astype(np.int64)
+        redrawn = (scaled[:, : self.count] & _LOW) < self._threshold
+        for r in np.flatnonzero(redrawn.any(axis=1)):
+            limbs = [[x[r : r + 1] for x in pair] for pair in (end, inc)]
+            draws[r] = self._redraw(scaled[r], *limbs)
+        return draws
+
+    def _redraw(self, scaled, state, inc) -> np.ndarray:
+        """One stream's draws when Lemire's method redraws in it: each draw
+        takes the next half whose low product word is not below the
+        threshold, continuing the stream past ``scaled`` as needed."""
+        while True:
+            kept = scaled[(scaled & _LOW) >= self._threshold]
+            if kept.size >= self.count:
+                return (kept[: self.count] >> _U32).astype(np.int64)
+            out, state = _outputs(state, inc, self.count)
+            scaled = np.concatenate([scaled, _halves(out)[0] * np.uint64(self.bound)])

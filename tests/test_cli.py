@@ -196,7 +196,8 @@ _ORACLES = {
     order=st.integers(min_value=1, max_value=6),
     dim=st.integers(min_value=1, max_value=3),
     scale=st.sampled_from([0.0, 0.5, 3.0]),
-    seed=st.one_of(st.just(0), st.integers(min_value=2**64 + 1, max_value=2**80)),
+    seed=st.one_of(st.just(0), st.integers(min_value=2**64 + 1, max_value=2**80),
+                   st.integers(min_value=2**128, max_value=2**256)),
     law=st.sampled_from(["rademacher", "subsample"]),
 )
 @example(kind="fully_symmetric", count=31, order=6, dim=3, scale=3.0, seed=2**64 + 1,
@@ -253,6 +254,11 @@ class TestVerifyCommand:
                      "--cases", "10"]) == 0
         out = capsys.readouterr().out
         assert "properties passed" in out
+
+    def test_suite_choices_are_verify_suites(self):
+        from einbern import cli, verify
+
+        assert list(cli.SUITE_NAMES) == verify.suite_names()
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
@@ -443,6 +449,19 @@ class TestSimulateCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_expectation_verdict_exits_1(self, tmp_path, capsys):
+        # 1000 standard errors lift the trial mean past the mean bound,
+        # while the one tail point, t = 0, still passes
+        demo = TestShippedDemos.demo_dir / "experiment_even.json"
+        doc = json.loads(demo.read_text())
+        doc.update(confidence_slack=1000, t_grid=[0])
+        config = write_json(tmp_path / "exp.json", doc)
+        assert main(["simulate", "--config", config,
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "expectation_verdict=fail" in out
+        assert out.endswith("tail_verdicts=1/1 pass\n")
+
     @pytest.mark.parametrize("theorem", ["even", "auto", "general"])
     def test_asymmetric_trial_sum_exits_0(self, tmp_path, capsys, theorem):
         # each model's components pass the symmetry check at their own
@@ -617,6 +636,31 @@ class TestBlasThreadPolicy:
         assert before == after == alone
 
 
+def test_bound_and_simulate_load_neither_numpy_random_nor_verify(tmp_path):
+    demo = TestShippedDemos.demo_dir
+    model = json.loads((demo / "model_odd.json").read_text())
+    del model["schema"]
+    subsample = write_json(tmp_path / "exp.json", {
+        "schema": 1, "model": model, "trials": 100, "t_grid": [0.0, 5.0, 10.0],
+        "seed": 3, "theorem": "general"})
+    runs = [
+        ["bound", "--config", str(demo / "model_even.json"), "--theorem", "even",
+         "--t-grid", "0:26:14"],
+        ["bound", "--config", str(demo / "model_odd.json"), "--theorem", "intrinsic",
+         "--t-grid", "0:20:11"],
+        ["simulate", "--config", str(demo / "experiment_even.json")],
+        ["simulate", "--config", subsample],
+    ]
+    runs = [[*argv, "--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(runs)]
+    proc = run_python("-c", (
+        "import sys\n"
+        "from einbern.cli import main\n"
+        f"print([main(argv) for argv in {runs!r}])\n"
+        "print([m for m in ('numpy.random', 'einbern.verify') if m in sys.modules])"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0]", "[]"]
+
+
 def test_overflowing_grid_span_exits_2_without_warnings(tmp_path):
     # both ends are finite, their difference is not; a negative start
     # needs the --t-grid= form, since argparse reads "-1.7e308" as an option
@@ -679,6 +723,16 @@ class TestOverflowingQuantities:
         out = tmp_path / "a.csv"
         proc = run_cli("simulate", "--config", config, "--out", str(out))
         self.assert_exit_4(proc, out, "std of the trial statistics overflowed")
+
+
+    def test_trace_overflow_exits_4_naming_the_trace(self, tmp_path):
+        config = write_json(tmp_path / "model.json",
+                            {"schema": 1, **big_diagonal_model()})
+        out = tmp_path / "a.csv"
+        proc = run_cli("bound", "--config", config, "--theorem", "intrinsic",
+                       "--t-grid", "0:3e154:4", "--out", str(out))
+        self.assert_exit_4(proc, out, "trace of the outer variance bound overflowed")
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestExample45Command:

@@ -385,69 +385,47 @@ class TestBatchedTrials:
         assert 8 * montecarlo._chunk_size(wide) * 5000 <= montecarlo._CHUNK_BYTES
 
 
-def counting_trial_rng(monkeypatch) -> list:
-    """Record the trial index of every ``streams.trial_rng`` call."""
-    calls = []
+def refuse_generators(monkeypatch) -> None:
+    """Make every ``numpy.random.default_rng`` call fail."""
 
-    def counted(seed, trial):
-        calls.append(int(trial))
-        return trial_rng(seed, trial)
+    def refused(*args, **kwargs):
+        raise AssertionError("a stream was drawn from a numpy generator")
 
-    monkeypatch.setattr(streams, "trial_rng", counted)
-    return calls
+    monkeypatch.setattr(np.random, "default_rng", refused)
 
 
 class TestBulkDraws:
-    def test_rejected_rows_are_drawn_per_trial(self, monkeypatch):
+    def test_rejected_rows_continue_their_own_stream(self, monkeypatch):
         # 2^32 mod k = 2^30 - 1, so Lemire's method redraws about a
         # quarter of the draws; only the law's draws are made, no model
         k = 3 * 2**30 + 1
         law = Subsample(2)
         seed, start, stop = 2019, 5000, 5064
+        want = np.stack([trial_rng(seed, i).integers(0, k, size=2)
+                         for i in range(start, stop)])
         draws = streams.TrialDraws(seed, *law.draws(k))
-        bulk, redo = draws._derive(start, stop)
-        assert 0 < redo.sum() < redo.size
-        calls = counting_trial_rng(monkeypatch)
+        refuse_generators(monkeypatch)
         picks = draws.block(start, stop)
-        for r, i in enumerate(range(start, stop)):
-            assert np.array_equal(picks[r], trial_rng(seed, i).integers(0, k, size=2))
-        # the bulk derivation cannot follow a redraw
-        assert any(not np.array_equal(bulk[r], picks[r]) for r in np.flatnonzero(redo))
-        # the other rows are bulk rows: only rejected rows and one check
-        # row were drawn from their generators
-        first = start + int(np.flatnonzero(~redo)[0])
-        assert sorted(calls) == sorted([first, *(start + np.flatnonzero(redo))])
-        assert np.array_equal(picks[~redo], bulk[~redo])
+        assert np.array_equal(picks, want)
+        # the draws each row's first output would give without a redraw
+        trials = np.arange(start, stop, dtype=np.uint32)
+        first, _ = streams._outputs(*streams._seeded(draws._seed_words + [trials]), 1)
+        plain = (streams._halves(first) * np.uint64(k)) >> np.uint64(32)
+        redrawn = (plain != picks).any(axis=1)
+        assert 0 < redrawn.sum() < len(redrawn)
 
-    def test_mismatched_chunk_is_drawn_per_trial(self, monkeypatch):
+    def test_a_run_builds_no_generator(self, monkeypatch):
         model = small_even_model(count=5, seed=16)
-        trials = 300
         config = ExperimentConfig(
-            model=model, trials=trials, t_grid=(0.0, 1.0, 2.0, 4.0), seed=24
+            model=model, trials=300, t_grid=(0.0, 1.0, 2.0, 4.0), seed=24
         )
-        calls = counting_trial_rng(monkeypatch)
         want = format_results_csv(run_experiment(config))
-        # one check row per chunk
-        checks = list(range(0, trials, montecarlo._chunk_size(model)))
-        assert calls == checks
-
-        xsl_rr = streams._xsl_rr
-
-        def corrupted(state):
-            out = xsl_rr(state)
-            # flip the top bit of both halves of the first row's first
-            # output: the first two signs of the chunk's first trial
-            out[0, 0] ^= np.uint64(1 << 63 | 1 << 31)
-            return out
-
-        monkeypatch.setattr(streams, "_xsl_rr", corrupted)
-        calls.clear()
+        refuse_generators(monkeypatch)
         assert format_results_csv(run_experiment(config)) == want
-        assert sorted(calls) == sorted(checks + list(range(trials)))
 
-    def test_wide_subsample_is_drawn_per_trial(self, monkeypatch):
-        # one row of draws fills a block: chunks of one trial, each drawn
-        # from its generator without a bulk derivation or a jump table
+    def test_wide_subsample_chunks_are_derived(self, monkeypatch):
+        # one row of draws fills a block: chunks of one trial, derived
+        # like any other chunk
         rng = np.random.default_rng(17)
         size = montecarlo._CHUNK_BYTES // 16 + 1
         model = SumModel.subsample([random_tensor(rng, (2, 2)) for _ in range(3)], size)
@@ -455,17 +433,10 @@ class TestBulkDraws:
         config = ExperimentConfig(
             model=model, trials=100, t_grid=(0.0,), seed=25, theorem="general"
         )
-
-        def no_bulk(*args):
-            raise AssertionError("a chunk of one trial needs no bulk derivation")
-
-        monkeypatch.setattr(streams.TrialDraws, "_derive", no_bulk)
-        monkeypatch.setattr(streams.TrialDraws, "_jump_table", no_bulk)
-        calls = counting_trial_rng(monkeypatch)
+        want = [gen_spectral_norm(sample_sum(model, trial_rng(25, i))) for i in (0, 99)]
+        refuse_generators(monkeypatch)
         stats = montecarlo._collect_statistics(config, "sigma_max")
-        assert calls == list(range(100))
-        want = gen_spectral_norm(sample_sum(model, trial_rng(25, 99)))
-        assert stats[99] == pytest.approx(want, rel=1e-12)
+        assert stats[[0, 99]] == pytest.approx(want, rel=1e-12)
 
 
 @given(
