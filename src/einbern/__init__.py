@@ -75,7 +75,6 @@ from .montecarlo import (
     ExperimentConfig,
     ExperimentResult,
     TailRow,
-    check_expectation,
     format_results_csv,
     run_experiment,
     sample_sum,

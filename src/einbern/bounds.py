@@ -338,12 +338,16 @@ class GeneralVariance:
     """Variance statistics of the general bound.
 
     ``outer``/``inner`` are the exact sums of expected trailing-mode and
-    leading-mode self-products; ``nu`` is the larger of their norms.
+    leading-mode self-products; ``nu`` is the larger of their norms,
+    solved on first use: the intrinsic bound never needs it.
     """
 
-    nu: float
     outer: Tensor
     inner: Tensor
+
+    @cached_property
+    def nu(self) -> float:
+        return max(e_spectral_norm(self.outer), e_spectral_norm(self.inner))
 
 
 def variance_general(model: SumModel) -> GeneralVariance:
@@ -361,10 +365,10 @@ def variance_general(model: SumModel) -> GeneralVariance:
     outer = _gram(model.stack.reshape(-1, d**m), factor)
     unfoldings = matricize_rows(model.stack, order, d)
     inner = _gram(unfoldings.reshape(-1, d ** (order - m)), factor)
-    acc_outer = unmatricize(outer, 2 * m, d)
-    acc_inner = unmatricize(inner, 2 * (order - m), d)
-    nu = max(e_spectral_norm(acc_outer), e_spectral_norm(acc_inner))
-    return GeneralVariance(nu=nu, outer=acc_outer, inner=acc_inner)
+    return GeneralVariance(
+        outer=unmatricize(outer, 2 * m, d),
+        inner=unmatricize(inner, 2 * (order - m), d),
+    )
 
 
 def expectation_bound(nu: float, L: float, m: int, d: int) -> float:
@@ -380,17 +384,14 @@ def expectation_bound(nu: float, L: float, m: int, d: int) -> float:
     return math.sqrt(2.0 * nu * mlogd) + L * mlogd / 3.0
 
 
-def expectation_bound_general(
-    nu: float, L: float, order: int, d: int, m: int | None = None
-) -> float:
-    """Mean bound for the norm statistic, with log(d**m + d**(N-m))
-    replacing m log d."""
+def expectation_bound_general(nu: float, L: float, order: int, d: int) -> float:
+    """Mean bound for the norm statistic, with log(d**m + d**(N-m)),
+    m = ceil(N/2), replacing m log d."""
     if nu < 0 or L < 0:
         raise DomainError("nu and L must be nonnegative")
     if order < 1 or d < 1:
         raise DomainError("order and d must be at least 1")
-    if m is None:
-        m = (order + 1) // 2
+    m = (order + 1) // 2
     logdim = math.log(d**m + d ** (order - m))
     return math.sqrt(2.0 * nu * logdim) + L * logdim / 3.0
 
@@ -437,8 +438,9 @@ class BernsteinReport:
     """Bound values for one theorem applied to one model.
 
     A report is fixed by the theorem, the order N, the dimension d, the
-    split m, L, nu and, for the intrinsic bound, the intrinsic dimension
-    ``dv``; everything else is derived here.  ``dim_factor`` is the
+    split m (which must be ceil(N/2)), L, nu and, for the intrinsic
+    bound, the intrinsic dimension ``dv``; everything else is derived
+    here.  ``dim_factor`` is the
     ambient dimensional factor (d**m for the even-order bound,
     d**m + d**(N-m) otherwise); ``tail_factor`` is the multiplier
     actually used in the tail curve, which for the intrinsic bound is
@@ -468,6 +470,8 @@ class BernsteinReport:
         if self.nu < 0 or self.L < 0:
             raise DomainError("nu and L must be nonnegative")
         n_order, d, m = self.order, self.dim, self.split
+        if m != (n_order + 1) // 2:
+            raise DomainError(f"split must be ceil({n_order}/2), got {m}")
         if self.theorem == "even":
             if d < 2:
                 raise ApplicabilityError("the even-order mean bound needs d >= 2")
@@ -475,7 +479,7 @@ class BernsteinReport:
             mean = expectation_bound(self.nu, self.L, m, d)
         else:
             dim_factor = float(d**m + d ** (n_order - m))
-            mean = expectation_bound_general(self.nu, self.L, n_order, d, m)
+            mean = expectation_bound_general(self.nu, self.L, n_order, d)
         tail_factor, domain_min = dim_factor, 0.0
         if self.theorem == "intrinsic":
             if self.dv > dim_factor * (1 + 1e-9):
@@ -525,10 +529,13 @@ def _check_e_psd(t: Tensor, label: str) -> np.ndarray:
     return values
 
 
-def _check_dominates(bound: Tensor, exact: Tensor, label: str) -> None:
-    diff = bound - exact
-    values = e_eigenvalues(diff)
-    norm_bound = e_spectral_norm(bound)
+def _check_dominates(
+    bound: Tensor, bound_values: np.ndarray, exact: Tensor, label: str
+) -> None:
+    """``bound`` - ``exact`` is E-PSD; ``bound_values`` is the spectrum
+    of ``bound``, which scales the tolerance."""
+    values = e_eigenvalues(bound - exact)
+    norm_bound = max(bound_values[0], -bound_values[-1])
     if values[-1] < -PSD_TOL * max(norm_bound, 1.0):
         raise DomainError(
             f"{label} does not dominate the exact variance statistic "
@@ -558,9 +565,9 @@ def intrinsic_report(
     vals_outer = _check_e_psd(v_outer, "outer variance bound")
     vals_inner = _check_e_psd(v_inner, "inner variance bound")
     if exact_outer is not None:
-        _check_dominates(v_outer, exact_outer, "outer variance bound")
+        _check_dominates(v_outer, vals_outer, exact_outer, "outer variance bound")
     if exact_inner is not None:
-        _check_dominates(v_inner, exact_inner, "inner variance bound")
+        _check_dominates(v_inner, vals_inner, exact_inner, "inner variance bound")
 
     m = v_outer.order // 2
     order = m + v_inner.order // 2

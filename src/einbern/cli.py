@@ -13,7 +13,7 @@ import sys
 from .bounds import THEOREMS, build_report, format_report, format_tail_csv
 from .config import grid_points, load_experiment, load_model
 from .errors import ApplicabilityError, EinbernError, ModelError, NumericalError
-from .montecarlo import check_expectation, format_results_csv, run_experiment
+from .montecarlo import format_results_csv, run_experiment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -123,26 +123,21 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_experiment(args.config)
-    result = run_experiment(config)
+    result = run_experiment(load_experiment(args.config))
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
         fh.write(format_results_csv(result))
     print(f"statistic={result.statistic} trials={result.trials} seed={result.seed}")
     print(f"empirical_mean_max={result.empirical_mean_max:.17g}")
-    passed = result.all_passed
-    if result.bound_report.expectation_bound is not None:
-        check = check_expectation(config, result)
-        passed = passed and check.passed
+    check = result.expectation
+    if check is not None:
         verdict = "pass" if check.passed else "fail"
         print(
             f"expectation_bound={check.bound:.17g} adjusted_mean="
             f"{check.adjusted_mean:.17g} expectation_verdict={verdict}"
         )
-    failed = [row for row in result.rows if not row.passed]
-    print(
-        f"tail_verdicts={len(result.rows) - len(failed)}/{len(result.rows)} pass"
-    )
-    return EXIT_OK if passed else EXIT_FAIL
+    tail_passed = sum(row.passed for row in result.rows)
+    print(f"tail_verdicts={tail_passed}/{len(result.rows)} pass")
+    return EXIT_OK if result.all_passed else EXIT_FAIL
 
 
 def cmd_example45(args) -> int:

@@ -30,7 +30,7 @@ from .bounds import (
     stack_statistics,
     statistic,
 )
-from .errors import ApplicabilityError, ModelError, NumericalError
+from .errors import ModelError, NumericalError
 from .streams import TrialDraws, trial_rng
 from .tensor import Tensor
 
@@ -42,7 +42,6 @@ __all__ = [
     "trial_rng",
     "sample_sum",
     "run_experiment",
-    "check_expectation",
     "format_results_csv",
 ]
 
@@ -115,8 +114,22 @@ class TailRow:
 
 
 @dataclass(frozen=True)
+class ExpectationCheck:
+    """Comparison of the trial mean against the closed-form mean bound."""
+
+    passed: bool
+    adjusted_mean: float
+    bound: float
+    margin: float
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
-    """Aggregated trial statistics paired with their bound report."""
+    """Aggregated trial statistics paired with their bound report.
+
+    ``expectation`` is None exactly when the report has no mean bound
+    (the intrinsic theorem).
+    """
 
     statistic: str
     trials: int
@@ -125,10 +138,13 @@ class ExperimentResult:
     empirical_std: float
     rows: tuple
     bound_report: BernsteinReport
+    expectation: ExpectationCheck | None
 
     @property
     def all_passed(self) -> bool:
-        return all(row.passed for row in self.rows)
+        """Every tail row passes, and so does the mean check if any."""
+        mean_ok = self.expectation is None or self.expectation.passed
+        return mean_ok and all(row.passed for row in self.rows)
 
 
 def _chunk_size(model: SumModel) -> int:
@@ -154,11 +170,13 @@ def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run all trials and compare tail frequencies against the bound.
+    """Run all trials and decide every verdict of the run.
 
     The per-t upper confidence value is the empirical frequency plus
     slack standard errors plus 1/trials, clamped into [0, 1]; a grid
-    point passes when that value stays below the clamped bound.
+    point passes when that value stays below the clamped bound.  The
+    mean check passes when the trial mean plus slack standard errors of
+    the mean stays below the mean bound, where the theorem has one.
     """
     report = build_report(config.model, config.theorem)
     # a t below the validity threshold raises before any trial runs
@@ -193,6 +211,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 passed=passed,
             )
         )
+    expectation = None
+    bound = report.expectation_bound
+    if bound is not None:
+        adjusted = mean + config.confidence_slack * (std / math.sqrt(trials))
+        margin = bound - adjusted
+        expectation = ExpectationCheck(
+            passed=margin >= 0.0, adjusted_mean=adjusted, bound=bound, margin=margin
+        )
     return ExperimentResult(
         statistic=name,
         trials=trials,
@@ -201,41 +227,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         empirical_std=std,
         rows=tuple(rows),
         bound_report=report,
-    )
-
-
-@dataclass(frozen=True)
-class ExpectationCheck:
-    """Comparison of the trial mean against the closed-form mean bound."""
-
-    passed: bool
-    empirical_mean: float
-    adjusted_mean: float
-    bound: float
-    margin: float
-
-
-def check_expectation(
-    config: ExperimentConfig, result: ExperimentResult | None = None
-) -> ExpectationCheck:
-    """Check mean(statistic) + slack standard errors against the bound."""
-    if result is None:
-        result = run_experiment(config)
-    bound = result.bound_report.expectation_bound
-    if bound is None:
-        raise ApplicabilityError(
-            "the intrinsic bound has no expectation counterpart"
-        )
-    adjusted = result.empirical_mean_max + config.confidence_slack * (
-        result.empirical_std / math.sqrt(result.trials)
-    )
-    margin = bound - adjusted
-    return ExpectationCheck(
-        passed=margin >= 0.0,
-        empirical_mean=result.empirical_mean_max,
-        adjusted_mean=adjusted,
-        bound=bound,
-        margin=margin,
+        expectation=expectation,
     )
 
 

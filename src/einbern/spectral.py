@@ -16,13 +16,7 @@ import numpy as np
 
 from .algebra import hermitian_dilation, matricize, matricize_general, unmatricize
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
-from .tensor import (
-    DEFAULT_TOL,
-    Tensor,
-    apply_power_map,
-    is_e_symmetric,
-    is_fully_symmetric,
-)
+from .tensor import Tensor, apply_power_map, is_e_symmetric, is_fully_symmetric
 
 __all__ = [
     "EigenDecomposition",
@@ -67,10 +61,10 @@ class EinsteinEVD:
     values: np.ndarray
 
 
-def sym_eig(mat, tol: float = 1e-12) -> EigenDecomposition:
+def sym_eig(mat) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
-    The input must be finite and symmetric within ``tol`` (scaled by its
+    The input must be finite and symmetric within 1e-12 (scaled by its
     largest entry and size); its symmetric part is decomposed.
     Eigenvalues come back descending with a stable tie order.
     """
@@ -81,7 +75,7 @@ def sym_eig(mat, tol: float = 1e-12) -> EigenDecomposition:
         raise NumericalError("matrix has non-finite entries")
     n = m.shape[0]
     scale = float(np.abs(m).max()) if m.size else 0.0
-    if float(np.abs(m - m.T).max()) > tol * max(1.0, scale) * n:
+    if float(np.abs(m - m.T).max()) > 1e-12 * max(1.0, scale) * n:
         raise SymmetryError("matrix is not symmetric within tolerance")
     try:
         values, vectors = np.linalg.eigh((m + m.T) / 2.0)
@@ -133,20 +127,20 @@ def _require_finite(m: np.ndarray) -> None:
         raise NumericalError("matrix stack has non-finite entries")
 
 
-def _require_e_symmetric(t: Tensor, tol: float) -> None:
-    if not is_e_symmetric(t, tol):
+def _require_e_symmetric(t: Tensor) -> None:
+    if not is_e_symmetric(t):
         raise SymmetryError("tensor is not Einstein-symmetric within tolerance")
 
 
-def e_eigenvalues(t: Tensor, tol: float = DEFAULT_TOL) -> np.ndarray:
+def e_eigenvalues(t: Tensor) -> np.ndarray:
     """Spectrum of the square unfolding, sorted descending."""
-    _require_e_symmetric(t, tol)
+    _require_e_symmetric(t)
     return sym_eig(matricize(t)).values
 
 
-def e_evd(t: Tensor, tol: float = DEFAULT_TOL) -> EinsteinEVD:
+def e_evd(t: Tensor) -> EinsteinEVD:
     """Eigenvalue decomposition with both factors folded back to tensors."""
-    _require_e_symmetric(t, tol)
+    _require_e_symmetric(t)
     d = t.cubic_dim
     dec = sym_eig(matricize(t))
     u = unmatricize(dec.vectors, t.order, d)
@@ -154,18 +148,18 @@ def e_evd(t: Tensor, tol: float = DEFAULT_TOL) -> EinsteinEVD:
     return EinsteinEVD(u=u, diag=diag, values=dec.values)
 
 
-def e_spectral_norm(t: Tensor, tol: float = DEFAULT_TOL) -> float:
+def e_spectral_norm(t: Tensor) -> float:
     """Largest eigenvalue magnitude of the square unfolding."""
-    values = e_eigenvalues(t, tol)
+    values = e_eigenvalues(t)
     return float(max(values[0], -values[-1])) if values.size else 0.0
 
 
-def e_trace(t: Tensor, tol: float = DEFAULT_TOL) -> float:
+def e_trace(t: Tensor) -> float:
     """Sum of the paired-diagonal entries a[i...i...].
 
     Cheaper than summing the spectrum, with which it agrees.
     """
-    _require_e_symmetric(t, tol)
+    _require_e_symmetric(t)
     return float(np.trace(matricize(t)))
 
 

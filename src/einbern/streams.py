@@ -190,13 +190,20 @@ def _jumps(n: int) -> tuple:
 
 def _outputs(state: tuple, inc: tuple, n: int) -> tuple:
     """The next ``n`` outputs of each stream, a (streams, n) uint64 array,
-    and the state after them."""
+    and the state after them.  A segment after the first steps the one
+    before by W = _SEGMENT outputs, ``M^W * s + (1 + ... + M^(W-1)) *
+    inc``, whose factors are the jump table's last entries."""
     jump_a, jump_c = _jumps(min(n, _SEGMENT))
     out = np.empty((len(state[0]), n), np.uint64)
+    states = _add128(_mul128(jump_a, state), _mul128(jump_c, inc))
+    if n > _SEGMENT:
+        power = tuple(x[-1:] for x in jump_a)
+        step_inc = _mul128(tuple(x[-1:] for x in jump_c), inc)
     for at in range(0, n, _SEGMENT):
         width = min(n - at, _SEGMENT)
-        a, c = (tuple(x[:width] for x in jump) for jump in (jump_a, jump_c))
-        states = _add128(_mul128(a, state), _mul128(c, inc))
+        if at:
+            head = tuple(x[:, :width] for x in states)
+            states = _add128(_mul128(power, head), step_inc)
         out[:, at : at + width] = _xsl_rr(states)
         state = tuple(x[:, -1:] for x in states)
     return out, state

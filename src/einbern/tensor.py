@@ -212,9 +212,9 @@ def is_e_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     return diff <= tol * t.max_abs()
 
 
-def e_symmetric_rows(rows, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Row-wise ``is_e_symmetric`` over a (B, n*n) stack of flat
-    even-order cubic tensors whose square unfoldings are n by n."""
+def e_symmetric_rows(rows) -> np.ndarray:
+    """Row-wise ``is_e_symmetric`` at DEFAULT_TOL over a (B, n*n) stack of
+    flat even-order cubic tensors whose square unfoldings are n by n."""
     rows = np.asarray(rows, dtype=np.float64)
     n = math.isqrt(rows.shape[-1])
     if rows.ndim != 2 or n * n != rows.shape[1]:
@@ -222,7 +222,7 @@ def e_symmetric_rows(rows, tol: float = DEFAULT_TOL) -> np.ndarray:
     mats = rows.reshape(len(rows), n, n)
     diff = mats - mats.transpose(0, 2, 1)
     np.abs(diff, out=diff)
-    return diff.max(axis=(1, 2)) <= tol * np.abs(rows).max(axis=1)
+    return diff.max(axis=(1, 2)) <= DEFAULT_TOL * np.abs(rows).max(axis=1)
 
 
 def is_diagonal(t: Tensor, tol: float = DEFAULT_TOL) -> bool:

@@ -39,6 +39,7 @@ from einbern import (
     variance_even,
     variance_general,
 )
+from einbern import bounds, spectral
 from einbern.bounds import stack_statistics
 
 
@@ -527,6 +528,26 @@ class TestReports:
         assert lines[0] == "t,bound_raw,bound_clamped"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("theorem, solves", [
+        ("even", 1),  # the summed Einstein square
+        ("general", 2),  # the outer and inner variance statistics
+        ("intrinsic", 3),  # the same two, and the block matrix
+    ])
+    def test_each_variance_matrix_is_solved_once(self, monkeypatch, theorem, solves):
+        calls = []
+        real = spectral.sym_eig
+
+        def counted(mat):
+            calls.append(mat)
+            return real(mat)
+
+        for module in (spectral, bounds):
+            monkeypatch.setattr(module, "sym_eig", counted)
+        rng = np.random.default_rng(21)
+        model = SumModel.rademacher([random_e_symmetric(rng, 2, 2) for _ in range(6)])
+        build_report(model, theorem)
+        assert len(calls) == solves
+
     def test_even_report_rejects_dim_one(self):
         model = SumModel.rademacher([identity_tensor(1, 1)])
         with pytest.raises(ApplicabilityError):
@@ -590,6 +611,9 @@ class TestDerivedReportFields:
             BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0, dv=7.0)
         with pytest.raises(ApplicabilityError):
             BernsteinReport("even", 2, 1, 1, 1.0, 1.0)
+        # the mean bound and the dimensional factor both split at ceil(N/2)
+        with pytest.raises(DomainError, match="split"):
+            BernsteinReport("general", 5, 3, 1, 1.0, 1.0)
 
     def test_in_domain_slack(self):
         report = BernsteinReport("intrinsic", 3, 2, 2, 2.5, 25.0, 3.7)

@@ -1,6 +1,8 @@
 """Sampling, experiment harness, determinism, and statistic choices."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einbern import (
-    ApplicabilityError,
     DomainError,
     ExperimentConfig,
     ModelError,
@@ -18,7 +19,6 @@ from einbern import (
     SymmetryError,
     Tensor,
     build_report,
-    check_expectation,
     e_eigenvalues,
     format_results_csv,
     gen_spectral_norm,
@@ -33,7 +33,7 @@ from einbern import (
     trial_rng,
     variance_general,
 )
-from einbern import montecarlo, streams
+from einbern import load_experiment, montecarlo, streams
 from einbern.bounds import statistic
 
 
@@ -237,7 +237,7 @@ class TestCheckExpectation:
     def test_zero_model(self):
         model = SumModel.rademacher([Tensor((2, 2), np.zeros(4))])
         config = ExperimentConfig(model=model, trials=150, t_grid=(0.5,), seed=2)
-        check = check_expectation(config)
+        check = run_experiment(config).expectation
         assert check.passed and check.bound == 0.0 and check.margin == 0.0
 
     def test_sign_flipped_identity(self):
@@ -245,7 +245,7 @@ class TestCheckExpectation:
         # far below the bound sqrt(2 ln 2) + ln(2)/3
         model = SumModel.rademacher([identity_tensor(1, 2)])
         config = ExperimentConfig(model=model, trials=400, t_grid=(0.0,), seed=3)
-        check = check_expectation(config)
+        check = run_experiment(config).expectation
         assert check.bound == pytest.approx(
             math.sqrt(2 * math.log(2)) + math.log(2) / 3, rel=1e-12
         )
@@ -254,8 +254,20 @@ class TestCheckExpectation:
     def test_even_model_margin(self):
         model = small_even_model(count=20, seed=12)
         config = ExperimentConfig(model=model, trials=500, t_grid=(0.0,), seed=4)
-        check = check_expectation(config)
+        check = run_experiment(config).expectation
         assert check.passed and check.margin > 0.0
+
+    def test_failed_mean_check_fails_the_run(self):
+        # 1000 standard errors lift the trial mean past the mean bound,
+        # while the one tail point, t = 0, still passes
+        demo = Path(__file__).resolve().parent.parent / "demo" / "experiment_even.json"
+        config = dataclasses.replace(
+            load_experiment(demo), confidence_slack=1000.0, t_grid=(0.0,)
+        )
+        result = run_experiment(config)
+        assert all(row.passed for row in result.rows)
+        assert not result.expectation.passed
+        assert not result.all_passed
 
     def test_intrinsic_has_no_expectation_bound(self):
         model = small_even_model(count=5, seed=13)
@@ -268,8 +280,8 @@ class TestCheckExpectation:
             theorem="intrinsic",
         )
         result = run_experiment(config)
-        with pytest.raises(ApplicabilityError):
-            check_expectation(config, result)
+        assert result.expectation is None
+        assert result.all_passed == all(row.passed for row in result.rows)
 
 
 class TestResultsCsv:

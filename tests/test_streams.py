@@ -58,9 +58,11 @@ def test_uniform_equals_default_rng(seed, lo, span, size):
 
 @pytest.mark.parametrize("seed", [0, 5, 2**130])
 @pytest.mark.parametrize("bound,count", [(2, 1), (2**31 + 1, 1), (2**31 + 1, 9),
-                                         (50, 3), (2**32, 4), (1, 3)])
+                                         (50, 3), (2**32, 4), (1, 3),
+                                         (2**31 + 1, 2 * 2**14 + 3)])
 def test_one_row_and_redrawing_blocks_equal_trial_rows(seed, bound, count):
-    # 2^32 mod (2^31 + 1) = 2^31 - 1: nearly half the halves are redrawn
+    # 2^32 mod (2^31 + 1) = 2^31 - 1: nearly half the halves are redrawn;
+    # 2 * 2^14 + 3 draws take each stream of a block past a segment
     draws = TrialDraws(seed, bound, count)
     for start, stop in [(0, 1), (3, 12), (2**32 - 2, 2**32)]:
         block = draws.block(start, stop)
