@@ -190,9 +190,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise NumericalError("the mean or std of the trial statistics overflowed")
 
     trials = config.trials
+    # the statistics are finite here, so trials - #{stat < t} of them reach t
+    reached = trials - np.searchsorted(np.sort(stats), config.t_grid, side="left")
     rows = []
-    for t, (raw, clamped) in zip(config.t_grid, tails):
-        freq = float(np.count_nonzero(stats >= t)) / trials
+    for t, count, (raw, clamped) in zip(config.t_grid, reached, tails):
+        freq = float(count) / trials
         upper = freq + config.confidence_slack * math.sqrt(
             freq * (1.0 - freq) / trials
         ) + 1.0 / trials

@@ -9,9 +9,9 @@ the oracle the tests check them against:
 - PCG64 seeding (``srandom``) and its XSL-RR output (O'Neill 2014, "PCG:
   A Family of Simple Fast Space-Efficient Statistically Good Algorithms
   for Random Number Generation").  The 128-bit state is held in two
-  uint64 limbs, and the j-th next output is reached by the jump-ahead
-  ``state_j = M^(j+1) * s + (1 + M + ... + M^j) * inc`` (mod 2^128) from
-  the current state s, with the multiplier M and increment inc;
+  uint64 limbs.  The j-th next output is reached by jump-ahead, as the
+  j+1-fold PCG step ``T(s) = M * s + inc`` (mod 2^128): an affine map
+  ``A * s + C * inc``, composed from small tables of its powers;
 - ``uniform(seed, lo, hi, size)`` is ``default_rng(seed).uniform(lo,
   hi, size)``: 53 bits of each output, ``lo + (hi - lo) * u``;
 - ``TrialDraws(seed, bound, count).block(start, stop)`` holds, for every
@@ -29,6 +29,7 @@ draws under any numpy release.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,8 +52,9 @@ _XSHIFT = np.uint32(16)
 # PCG64's 128-bit LCG multiplier
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-# outputs per jump-ahead: bounds the jump table and each step's temporaries
-_SEGMENT = 1 << 14
+# a stream of at most _DIRECT outputs is one row, a longer one rows x
+# columns; tiles of at most _TILE outputs bound every temporary
+_DIRECT, _TILE = 64, 1 << 13
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -75,13 +77,20 @@ def _words(n: int) -> list:
     return [np.array([w], np.uint32) for w in words]
 
 
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hashmix of uint32 ``value`` with hash constant
-    ``const``; returns the mixed value and the next constant."""
-    value = value ^ np.uint32(const)
-    const = (const * mult) & _M32
-    value = value * np.uint32(const)
-    return value ^ (value >> _XSHIFT), const
+def _hash_consts(count: int, init: int, mult: int) -> np.ndarray:
+    """The (xor, mult) constants, a (2, count, 1) uint32 array, of
+    SeedSequence's next ``count`` hashmix calls from constant ``init``."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _M32)
+    return np.array([consts[:-1], consts[1:]], np.uint32)[:, :, None]
+
+
+def _hashmix(values, consts: np.ndarray):
+    """SeedSequence's hashmix of uint32 rows ``values``, row i with the
+    constants ``consts[:, i]``."""
+    values = (values ^ consts[0]) * consts[1]
+    return values ^ (values >> _XSHIFT)
 
 
 def _mix(x, y):
@@ -89,54 +98,23 @@ def _mix(x, y):
     return result ^ (result >> _XSHIFT)
 
 
-def _pool(entropy: list) -> list:
-    """SeedSequence's ``mix_entropy``: the four pool words, each a uint32
-    array over the streams, from the entropy words (arrays that
-    broadcast against each other)."""
-    const = _INIT_A
-    zero = np.zeros(1, np.uint32)
-    pool = []
-    for i in range(_POOL_SIZE):
-        word, const = _hashmix(entropy[i] if i < len(entropy) else zero, const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], word)
-    for src in range(_POOL_SIZE, len(entropy)):
-        for dst in range(_POOL_SIZE):
-            word, const = _hashmix(entropy[src], const)
-            pool[dst] = _mix(pool[dst], word)
-    return pool
-
-
-def _state_words(pool: list) -> list:
-    """``generate_state(4, uint64)`` as four uint64 arrays."""
-    const = _INIT_B
-    halves = []
-    for i in range(8):
-        value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-        halves.append(value.astype(np.uint64))
-    return [lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])]
-
-
 _U32 = np.uint64(32)
 _LOW = np.uint64(_M32)
 
 
-def _limbs(value: int) -> tuple:
-    """(high, low) uint64 limbs of a 128-bit int."""
-    return np.uint64(value >> 64), np.uint64(value & _M64)
+def _limbs(values) -> tuple:
+    """(high, low) uint64 limbs of a 128-bit int, or of a sequence of them."""
+    values = np.array(values, dtype=object)
+    return np.array(values >> 64 & _M64, np.uint64), np.array(values & _M64, np.uint64)
 
 
 def _mulhi(a, b):
-    """High 64 bits of the 128-bit products of uint64 arrays a and b."""
+    """High 64 bits of the 128-bit products of uint64 arrays a and b
+    (Warren, "Hacker's Delight", 8-2)."""
     a0, a1 = a & _LOW, a >> _U32
     b0, b1 = b & _LOW, b >> _U32
-    cross_ab, cross_ba = a0 * b1, a1 * b0
-    mid = ((a0 * b0) >> _U32) + (cross_ab & _LOW) + (cross_ba & _LOW)
-    return a1 * b1 + (cross_ab >> _U32) + (cross_ba >> _U32) + (mid >> _U32)
+    t = ((a0 * b0) >> _U32) + a1 * b0
+    return a1 * b1 + (t >> _U32) + (((t & _LOW) + a0 * b1) >> _U32)
 
 
 def _mul128(a: tuple, b: tuple) -> tuple:
@@ -150,20 +128,37 @@ def _add128(a: tuple, b: tuple) -> tuple:
     return a[0] + b[0] + (low < a[1]), low
 
 
-def _xsl_rr(state: tuple):
-    """PCG's XSL-RR output of 128-bit states: the halves xor-ed, rotated
-    right by the top six bits."""
+def _xsl_rr(state: tuple, out: np.ndarray) -> np.ndarray:
+    """PCG's XSL-RR output of 128-bit states, into ``out``: the halves
+    xor-ed, rotated right by the top six bits; a rotation by 0 leaves x,
+    whether x << 64 gives 0 or x."""
     x = state[0] ^ state[1]
     rot = state[0] >> np.uint64(58)
-    return (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+    return np.bitwise_or(x >> rot, x << (np.uint64(64) - rot), out=out)
 
 
 def _seeded(entropy: list) -> tuple:
     """(state, inc) limb pairs, each limb a (streams, 1) array, of the
-    PCG64 streams seeded from ``SeedSequence(entropy)``: srandom takes
-    the increment ``(initseq << 1) | 1`` and leaves the state
-    ``M * (s + inc) + inc``."""
-    words = [w[:, None] for w in _state_words(_pool(entropy))]
+    PCG64 streams seeded from ``SeedSequence(entropy)``, the words uint32
+    arrays that broadcast.  SeedSequence's hash constants do not depend
+    on the words, so each mixing step is one hashmix of its source word
+    against the constants of all its destinations.  srandom takes the
+    increment ``(initseq << 1) | 1`` and leaves the state ``M * (s +
+    inc) + inc``."""
+    entropy = list(entropy) + [np.zeros(1, np.uint32)] * (_POOL_SIZE - len(entropy))
+    words = np.array(np.broadcast_arrays(*entropy), np.uint32)
+    consts = _hash_consts(_POOL_SIZE * len(words), _INIT_A, _MULT_A)
+    pool = _hashmix(words[:_POOL_SIZE], consts[:, :_POOL_SIZE])
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        at = _POOL_SIZE + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[:, at : at + 3]))
+    for src in range(_POOL_SIZE, len(words)):
+        at = _POOL_SIZE * src
+        pool = _mix(pool, _hashmix(words[src], consts[:, at : at + _POOL_SIZE]))
+    halves = _hashmix(np.tile(pool, (2, 1)), _hash_consts(8, _INIT_B, _MULT_B))
+    halves = halves.astype(np.uint64)[:, :, None]
+    words = halves[::2] | (halves[1::2] << _U32)
     inc = (
         (words[2] << np.uint64(1)) | (words[3] >> np.uint64(63)),
         (words[3] << np.uint64(1)) | np.uint64(1),
@@ -172,41 +167,56 @@ def _seeded(entropy: list) -> tuple:
     return state, inc
 
 
-@lru_cache(maxsize=8)
-def _jumps(n: int) -> tuple:
-    """(A_j, C_j) limbs, j < n, of the jump-ahead ``state_j = A_j * s +
-    C_j * inc`` to the j-th next output, by doubling: the table for the
-    next k outputs, stepped k further, is the table for the k after."""
-    a = tuple(np.array([x]) for x in _limbs(_PCG_MULT))
-    c = tuple(np.array([x]) for x in _limbs(1))
-    power, total = _PCG_MULT, 1  # M^k and 1 + M + ... + M^(k-1)
-    while len(a[0]) < n:
-        step = _limbs(power)
-        a = tuple(map(np.concatenate, zip(a, _mul128(step, a))))
-        c = tuple(map(np.concatenate, zip(c, _add128(_mul128(step, c), _limbs(total)))))
-        power, total = (power * power) & _M128, (total * (1 + power)) & _M128
-    return tuple(x[:n] for x in a), tuple(x[:n] for x in c)
+@lru_cache(maxsize=32)
+def _table(width: int) -> tuple:
+    """The jump tables of a power-of-two ``width``, each the (A, C) pair of
+    its maps' limbs: column c is the map ``T^(c+1)``, ``A = M^(c+1)`` and
+    ``C = 1 + M + ... + M^c``, and row r is ``T^(r*width)``, c, r < width."""
+    powers = [1]
+    while len(powers) <= width:
+        powers.append(powers[-1] * _PCG_MULT & _M128)
+    sums = list(accumulate(powers[:width]))
+    steps = [1]
+    while len(steps) < width:
+        steps.append(steps[-1] * powers[width] & _M128)
+    # T^(r*W) = (M^W)^r * s + (1 + ... + M^(W-1)) (1 + ... + M^(W(r-1))) * inc
+    row_sums = [x * sums[-1] for x in accumulate([0] + steps[:-1])]
+    maps = tuple(zip(*_limbs([powers[1:], sums, steps, row_sums])))
+    return maps[:2], maps[2:]
 
 
 def _outputs(state: tuple, inc: tuple, n: int) -> tuple:
     """The next ``n`` outputs of each stream, a (streams, n) uint64 array,
-    and the state after them.  A segment after the first steps the one
-    before by W = _SEGMENT outputs, ``M^W * s + (1 + ... + M^(W-1)) *
-    inc``, whose factors are the jump table's last entries."""
-    jump_a, jump_c = _jumps(min(n, _SEGMENT))
-    out = np.empty((len(state[0]), n), np.uint64)
-    states = _add128(_mul128(jump_a, state), _mul128(jump_c, inc))
-    if n > _SEGMENT:
-        power = tuple(x[-1:] for x in jump_a)
-        step_inc = _mul128(tuple(x[-1:] for x in jump_c), inc)
-    for at in range(0, n, _SEGMENT):
-        width = min(n - at, _SEGMENT)
-        if at:
-            head = tuple(x[:, :width] for x in states)
-            states = _add128(_mul128(power, head), step_inc)
-        out[:, at : at + width] = _xsl_rr(states)
-        state = tuple(x[:, -1:] for x in states)
-    return out, state
+    and the state of its last output.  Output r * W + c, with W about
+    sqrt(n), has the state ``A_c * B_r + C_c * inc``: ``B_r = T^(r*W)(s)``
+    from the row table and ``(A_c, C_c) = T^(c+1)`` from the column table."""
+    streams = len(state[0])
+    if not n or not streams:
+        return np.empty((streams, n), np.uint64), state
+    width = n if n <= _DIRECT else 1 << ((n - 1).bit_length() + 1) // 2
+    rows = -(-n // width)
+    cols, row_maps = _table(1 << (width - 1).bit_length())
+    mult = tuple(x[:width] for x in cols[0])
+    step_inc = _mul128(tuple(x[:width] for x in cols[1]), inc)
+    starts = state  # B_r: one row starts at the stream's state
+    if rows > 1:
+        a, c = (tuple(x[:rows] for x in limbs) for limbs in row_maps)
+        starts = _add128(_mul128(a, state), _mul128(c, inc))
+    tile_rows = max(1, min(rows, _TILE // width))
+    tile_streams = max(1, _TILE // (tile_rows * width))
+    out = np.empty((streams, rows, width), np.uint64)
+    ends = []
+    for s0 in range(0, streams, tile_streams):
+        part = slice(s0, s0 + tile_streams)
+        add = tuple(x[part, None, :] for x in step_inc)
+        for r0 in range(0, rows, tile_rows):
+            at = (part, slice(r0, r0 + tile_rows))
+            states = _add128(_mul128(mult, tuple(x[at][..., None] for x in starts)), add)
+            _xsl_rr(states, out[at])
+        # output n - 1 sits in the last row; later columns are padding
+        ends.append(tuple(x[:, -1, (n - 1) % width] for x in states))
+    end = tuple(np.concatenate(x)[:, None] for x in zip(*ends))
+    return out.reshape(streams, rows * width)[:, :n], end
 
 
 def _halves(out: np.ndarray) -> np.ndarray:
@@ -219,7 +229,7 @@ def _halves(out: np.ndarray) -> np.ndarray:
 def uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
     """``default_rng(seed).uniform(lo, hi, size)``: ``size`` float64 draws
     ``lo + (hi - lo) * u``, u the top 53 bits of an output over 2^53."""
-    raw, _ = _outputs(*_seeded(_words(seed)), size)
+    raw, _ = _outputs(*_seeded(_words(seed)), int(size))
     raw >>= np.uint64(11)
     draws = raw[0] * 2.0**-53  # exact: 53-bit integers over 2^53
     del raw  # at the 2^24-entry model budget, each array is 128 MiB

@@ -222,6 +222,21 @@ class TestRunExperiment:
         with pytest.raises(DomainError):
             run_experiment(config)
 
+    def test_tail_counts_at_ties_and_past_either_end(self):
+        # each trial's statistic is |sum of five signs|, so 1, 3 or 5:
+        # grid points at those values count the trials that reach them,
+        # and 0 lies below every statistic and 6 above
+        flip = Tensor((2, 2), [1.0, 0.0, 0.0, -1.0])
+        config = ExperimentConfig(
+            model=SumModel.rademacher([flip] * 5), trials=400,
+            t_grid=(0.0, 1.0, 3.0, 5.0, 6.0), seed=3, theorem="even",
+        )
+        stats = montecarlo._collect_statistics(config, "lambda_max")
+        assert set(stats) == {1.0, 3.0, 5.0}
+        freqs = [row.frequency for row in run_experiment(config).rows]
+        assert freqs == [np.count_nonzero(stats >= t) / 400 for t in config.t_grid]
+        assert freqs[0] == 1.0 and freqs[-1] == 0.0
+
     def test_upper_confidence_clamped(self):
         # frequencies of 1 at t=0 must not push the confidence value
         # above the clamped bound

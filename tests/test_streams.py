@@ -1,10 +1,17 @@
 """einbern's own random streams against numpy's generators, their oracle."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import einbern
 from einbern import Rademacher, Subsample, trial_rng
 from einbern import streams
 from einbern.streams import TrialDraws, uniform
@@ -62,7 +69,7 @@ def test_uniform_equals_default_rng(seed, lo, span, size):
                                          (2**31 + 1, 2 * 2**14 + 3)])
 def test_one_row_and_redrawing_blocks_equal_trial_rows(seed, bound, count):
     # 2^32 mod (2^31 + 1) = 2^31 - 1: nearly half the halves are redrawn;
-    # 2 * 2^14 + 3 draws take each stream of a block past a segment
+    # 2 * 2^14 + 3 draws take each stream of a block across tiles
     draws = TrialDraws(seed, bound, count)
     for start, stop in [(0, 1), (3, 12), (2**32 - 2, 2**32)]:
         block = draws.block(start, stop)
@@ -88,17 +95,77 @@ def test_pinned_draws():
     assert last.tolist() == [[44, 44, 34, 43, 23]]
 
 
-def test_jump_table_is_shared_per_width():
-    streams._jumps.cache_clear()
+DIRECT, TILE = streams._DIRECT, streams._TILE
+
+
+@pytest.mark.parametrize("size", [
+    DIRECT - 1, DIRECT, DIRECT + 1,  # one row, then rows x columns
+    16 * 13, 16 * 13 + 1,  # whole rows of 16 columns, then one more output
+    16**2, 16**2 + 1, 64**2, 64**2 + 1,  # a width's square, then the next width
+    TILE - 1, TILE, TILE + 1,  # one tile, then a second
+    np.int64(DIRECT + 1),  # a numpy integer size
+])
+def test_uniform_layout_edges_equal_default_rng(size):
+    want = np.random.default_rng(11).uniform(-1.0, 1.0, size)
+    assert uniform(11, -1.0, 1.0, size).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [2 * DIRECT - 1, 2 * DIRECT, 2 * DIRECT + 1, 2 * DIRECT + 2])
+def test_blocks_across_tiles_equal_trial_rows(monkeypatch, count):
+    # 2 * DIRECT draws take 64 outputs a stream, one row; one more draw
+    # takes 65, five rows of 16 columns with the last padded.  Tiles of
+    # 160 outputs hold two streams either way, so the blocks end on each
+    # side of a tile edge.  Nearly every row redraws, continuing from
+    # the state of its last output, not from the padding's.
+    monkeypatch.setattr(streams, "_TILE", 160)
+    bound = 2**31 + 1
+    draws = TrialDraws(9, bound, count)
+    for start, stop in [(0, 1), (4, 6), (4, 7), (10, 15)]:
+        block = draws.block(start, stop)
+        for r in range(stop - start):
+            want = trial_rng(9, start + r).integers(0, bound, size=count)
+            assert np.array_equal(block[r], want)
+
+
+def test_jump_table_is_shared_per_width(monkeypatch):
+    streams._table.cache_clear()
     draws = TrialDraws(3, 2, 5)
     draws.block(7, 8)
     draws.block(0, 4)
     uniform(1, 0.0, 1.0, 3)
-    assert streams._jumps.cache_info().misses == 1
-    # a long stream reuses one table of _SEGMENT outputs
-    uniform(1, 0.0, 1.0, 3 * streams._SEGMENT + 1)
-    assert streams._jumps.cache_info().misses == 2
+    assert streams._table.cache_info().misses == 1
     assert draws.block(2, 2).shape == (0, 5)
+    # a long stream builds one table, of about sqrt(n) maps
+    widths, table = [], streams._table
+    monkeypatch.setattr(streams, "_table", lambda width: widths.append(width) or table(width))
+    size = 3 * 2**14 + 1
+    uniform(1, 0.0, 1.0, size)
+    assert len(widths) == 1 and size <= widths[0] ** 2 < 4 * size
+    assert all(len(x) == widths[0] for maps in table(widths[0]) for pair in maps for x in pair)
+
+
+def test_import_builds_no_stream_table():
+    # tables are built on first use, so no process's set-up pays for them
+    src = str(Path(einbern.__file__).resolve().parents[1])
+    code = ("import einbern, einbern.cli\n"
+            "from einbern import streams\n"
+            "print(streams._table.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
+def test_uniform_temporaries_are_tile_sized():
+    # the draws and the raw outputs they come from: 2.0x the output's
+    # bytes; each tile's temporaries add a few percent
+    size = 2**20
+    tracemalloc.start()
+    try:
+        uniform(0, 0.0, 1.0, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 8 * size
 
 
 def test_bound_must_fit_32_bits():
