@@ -7,12 +7,12 @@ the model, 4 internal numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .bounds import THEOREMS, build_report, format_report, format_tail_csv
 from .config import grid_points, load_experiment, load_model
-from .errors import ApplicabilityError, EinbernError, ModelError, NumericalError
+from .errors import ApplicabilityError, EinbernError, NumericalError
 from .montecarlo import format_results_csv, run_experiment
 
 EXIT_OK = 0
@@ -25,68 +25,93 @@ EXIT_NUMERICAL = 4
 SUITE_NAMES = ("algebra", "bounds", "spectral")
 
 
-def _grid_spec(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected a:b:n, got {text!r}")
-    try:
-        return grid_points(float(parts[0]), float(parts[1]), int(parts[2]))
-    except (ValueError, ModelError) as exc:
-        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
+USAGE = """\
+usage: einbern COMMAND [--option value | --option=value ...] | einbern -h
+  verify --suite {algebra,bounds,spectral,all} [--seed 0] [--cases 100]
+  bound --config MODEL --theorem {even,general,intrinsic} --t-grid a:b:n --out CSV
+  simulate --config EXPERIMENT --out CSV
+  example45
+verify runs a seeded property suite; bound writes a model's tail bound at t in
+linspace(a, b, n); simulate checks a Monte Carlo experiment against its bound;
+example45 shows a tensor PSD but not E-PSD.  Options may be cut to a unique prefix.
+"""
+
+
+class UsageError(Exception):
+    """A command line the parser refuses; the message is "command: option: reason"."""
+
+
+def _one_of(choices: tuple):
+    def choice(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice {text!r}, expected one of {choices}")
+        return text
+
+    return choice
 
 
 def _int_at_least(low: int):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+            raise ValueError(f"need an integer >= {low}, got {value}")
         return value
 
     return integer
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="einbern",
-        description=(
-            "Einstein-product tensor algebra with Bernstein-type "
-            "concentration bounds for random tensor sums"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _grid_spec(text: str) -> tuple:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"expected a:b:n, got {text!r}")
+    return grid_points(float(parts[0]), float(parts[1]), int(parts[2]))
 
-    p_verify = sub.add_parser(
-        "verify", help="run a seeded property suite and report pass/fail"
-    )
-    p_verify.add_argument(
-        "--suite", required=True, choices=[*SUITE_NAMES, "all"]
-    )
-    p_verify.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_verify.add_argument("--cases", type=_int_at_least(1), default=100)
 
-    p_bound = sub.add_parser(
-        "bound", help="evaluate one bound for a model and write its tail curve"
-    )
-    p_bound.add_argument("--config", required=True, help="model JSON document")
-    p_bound.add_argument("--theorem", required=True, choices=THEOREMS[1:])
-    p_bound.add_argument(
-        "--t-grid", required=True, type=_grid_spec, metavar="a:b:n",
-        help="linspace of t values, e.g. 0:5:21; a negative start needs "
-        "the --t-grid=a:b:n form",
-    )
-    p_bound.add_argument("--out", required=True, help="CSV output path")
+# command -> option -> (converter of its text, default, or None if required)
+_OPTIONS = {
+    "verify": {"--suite": (_one_of((*SUITE_NAMES, "all")), None),
+               "--seed": (_int_at_least(0), 0), "--cases": (_int_at_least(1), 100)},
+    "bound": {"--config": (str, None), "--theorem": (_one_of(THEOREMS[1:]), None),
+              "--t-grid": (_grid_spec, None), "--out": (str, None)},
+    "simulate": {"--config": (str, None), "--out": (str, None)},
+    "example45": {},
+}
 
-    p_sim = sub.add_parser(
-        "simulate", help="run a Monte Carlo experiment against its bound"
-    )
-    p_sim.add_argument("--config", required=True, help="experiment JSON document")
-    p_sim.add_argument("--out", required=True, help="CSV output path")
 
-    sub.add_parser(
-        "example45",
-        help="walk through the built-in PSD-but-not-E-PSD worked example",
-    )
-    return parser
+def parse_args(argv) -> SimpleNamespace | None:
+    """The command ``argv`` names with its options' values, or None if it asks
+    for help.  An option is ``-h``, a name or a unique prefix of one; its value
+    is the text after ``=`` or the next token, verbatim; the last repeat wins."""
+    argv = list(argv)
+    command = argv.pop(0) if argv and argv[0] in _OPTIONS else "einbern"
+    table, tokens = _OPTIONS.get(command, {}), iter(argv)
+    values = {name: default for name, (_, default) in table.items()}
+    for token in tokens:
+        name, eq, value = ("--help", "", "") if token == "-h" else token.partition("=")
+        # "-", "--" and "-x" abbreviate nothing; no name is a prefix of another
+        names = [n for n in (*table, "--help") if name[2:] and n.startswith(name)]
+        if len(names) != 1:
+            reason = (f"ambiguous, could be {', '.join(names)}" if names else
+                      "unknown option" if token[:1] == "-" else "unexpected argument")
+            raise UsageError(f"{command}: {token}: {reason}")
+        name = names[0]
+        if name == "--help" and not eq:
+            return None
+        value = value if eq else next(tokens, None)
+        if value is None or name == "--help":
+            wrong = "takes no value" if eq else "expected a value"
+            raise UsageError(f"{command}: {name}: {wrong}")
+        try:
+            values[name] = table[name][0](value)
+        except ValueError as exc:
+            raise UsageError(f"{command}: {name}: {exc}") from None
+    if command not in _OPTIONS:
+        raise UsageError(f"{command}: command: required")
+    for name, value in values.items():
+        if value is None:  # no converter returns None
+            raise UsageError(f"{command}: {name}: required")
+    return SimpleNamespace(
+        command=command, **{n[2:].replace("-", "_"): v for n, v in values.items()})
 
 
 def cmd_verify(args) -> int:
@@ -159,11 +184,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print(f"{USAGE.splitlines()[0]}\nerror: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args is None:
+        sys.stdout.write(USAGE)
+        return EXIT_OK
     try:
         return _HANDLERS[args.command](args)
     except ApplicabilityError as exc:

@@ -229,10 +229,12 @@ def _halves(out: np.ndarray) -> np.ndarray:
 def uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
     """``default_rng(seed).uniform(lo, hi, size)``: ``size`` float64 draws
     ``lo + (hi - lo) * u``, u the top 53 bits of an output over 2^53."""
-    raw, _ = _outputs(*_seeded(_words(seed)), int(size))
-    raw >>= np.uint64(11)
-    draws = raw[0] * 2.0**-53  # exact: 53-bit integers over 2^53
-    del raw  # at the 2^24-entry model budget, each array is 128 MiB
+    raw = _outputs(*_seeded(_words(seed)), int(size))[0][0]
+    draws = raw.view(np.float64)
+    # tile by tile: numpy copies an input that overlaps an output of another dtype
+    for at in range(0, len(raw), _TILE):
+        tile = slice(at, at + _TILE)
+        np.multiply(raw[tile] >> np.uint64(11), 2.0**-53, out=draws[tile])  # exact
     draws *= hi - lo
     draws += lo
     return draws

@@ -1,5 +1,8 @@
 """Command-line surface: flags, exit codes, file outputs, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -31,7 +34,10 @@ from einbern import (
     run_experiment,
     write_tensor_text,
 )
-from einbern.cli import main
+from einbern.bounds import THEOREMS
+from einbern import cli
+from einbern.cli import SUITE_NAMES, USAGE, UsageError, main, parse_args
+from einbern.config import grid_points
 from einbern.verify import worked_example
 
 
@@ -637,6 +643,7 @@ class TestBlasThreadPolicy:
 
 
 def test_bound_and_simulate_load_neither_numpy_random_nor_verify(tmp_path):
+    # nor argparse, gettext or locale, which argparse loads to build a parser
     demo = TestShippedDemos.demo_dir
     model = json.loads((demo / "model_odd.json").read_text())
     del model["schema"]
@@ -656,17 +663,18 @@ def test_bound_and_simulate_load_neither_numpy_random_nor_verify(tmp_path):
         "import sys\n"
         "from einbern.cli import main\n"
         f"print([main(argv) for argv in {runs!r}])\n"
-        "print([m for m in ('numpy.random', 'einbern.verify') if m in sys.modules])"))
+        "print([m for m in ('numpy.random', 'einbern.verify', 'argparse', 'gettext',"
+        " 'locale') if m in sys.modules])"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0]", "[]"]
 
 
 def test_overflowing_grid_span_exits_2_without_warnings(tmp_path):
-    # both ends are finite, their difference is not; a negative start
-    # needs the --t-grid= form, since argparse reads "-1.7e308" as an option
+    # both ends are finite, their difference is not; the value is taken
+    # verbatim, so its leading "-" needs no --t-grid= form
     config = write_json(tmp_path / "model.json", even_model_doc())
     proc = run_cli("bound", "--config", config, "--theorem", "even",
-                   "--t-grid=-1.7e308:1.7e308:3", "--out", str(tmp_path / "a.csv"))
+                   "--t-grid", "-1.7e308:1.7e308:3", "--out", str(tmp_path / "a.csv"))
     assert proc.returncode == 2
     assert "finite" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
@@ -814,6 +822,236 @@ class TestShippedDemos:
 def test_usage_errors():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+# The argparse parser the command line was once parsed with, kept as the
+# oracle of ``parse_args``: every argv it accepts gives the same command
+# and values.  It keeps its own copies of the old converters.
+
+def _oracle_grid_spec(text: str) -> tuple:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected a:b:n, got {text!r}")
+    try:
+        return grid_points(float(parts[0]), float(parts[1]), int(parts[2]))
+    except (ValueError, ModelError) as exc:
+        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
+
+
+def _oracle_int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="einbern",
+        description=(
+            "Einstein-product tensor algebra with Bernstein-type "
+            "concentration bounds for random tensor sums"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_verify = sub.add_parser(
+        "verify", help="run a seeded property suite and report pass/fail"
+    )
+    p_verify.add_argument(
+        "--suite", required=True, choices=[*SUITE_NAMES, "all"]
+    )
+    p_verify.add_argument("--seed", type=_oracle_int_at_least(0), default=0)
+    p_verify.add_argument("--cases", type=_oracle_int_at_least(1), default=100)
+
+    p_bound = sub.add_parser(
+        "bound", help="evaluate one bound for a model and write its tail curve"
+    )
+    p_bound.add_argument("--config", required=True, help="model JSON document")
+    p_bound.add_argument("--theorem", required=True, choices=THEOREMS[1:])
+    p_bound.add_argument(
+        "--t-grid", required=True, type=_oracle_grid_spec, metavar="a:b:n",
+        help="linspace of t values, e.g. 0:5:21; a negative start needs "
+        "the --t-grid=a:b:n form",
+    )
+    p_bound.add_argument("--out", required=True, help="CSV output path")
+
+    p_sim = sub.add_parser(
+        "simulate", help="run a Monte Carlo experiment against its bound"
+    )
+    p_sim.add_argument("--config", required=True, help="experiment JSON document")
+    p_sim.add_argument("--out", required=True, help="CSV output path")
+
+    sub.add_parser(
+        "example45",
+        help="walk through the built-in PSD-but-not-E-PSD worked example",
+    )
+    return parser
+
+
+ORACLE = _build_parser()
+
+
+def oracle_parse(argv):
+    """The oracle's command and values for ``argv``, or None if it refuses it."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(ORACLE.parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2  # the generated argvs never ask for help
+            return None
+
+
+_COMMAND_OPTIONS = {
+    "verify": ["--suite", "--seed", "--cases"],
+    "bound": ["--config", "--theorem", "--t-grid", "--out"],
+    "simulate": ["--config", "--out"],
+    "example45": [],
+}
+_PATHS = ["model.json", "a b", "bound", "", "=", "-", "-1", "-x y"]
+# each option's valid values, then invalid ones.  Left out are "-h", as
+# argparse prints help wherever it reads that value as an option, and
+# "--", which argparse drops from a value: "--out=--" gave out=[]
+_VALUES = {
+    "--suite": (["algebra", "all"], ["nope", "al", "--out"]),
+    "--seed": (["0", "7", " 3", "+2", "1_0"], ["-1", "x", "1.5"]),
+    "--cases": (["1", "100"], ["0", "-3", ""]),
+    "--config": (_PATHS, ["--out"]),
+    "--out": (_PATHS, ["--config"]),
+    "--theorem": (["even", "intrinsic"], ["none", "Even"]),
+    "--t-grid": (["0:5:21", "1:0:3", "-1:1:3", "-1.5:.5:4"],
+                 ["nope", "nan:1:3", "0:1", "0:inf:3", "0:1:10000000000000",
+                  "-1.7e308:1.7e308:3"]),
+    "--bogus": (["1"], []),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, values): a command and its options in any order, each whole
+    or abbreviated, as "--name value" or "--name=value", at times with an
+    option left out or repeated, another command's option, a stray token or
+    a name without its value; ``values`` holds every value put in."""
+    command = draw(st.sampled_from([*_COMMAND_OPTIONS, "frob"]))
+    rare = st.integers(0, 9).map(lambda n: n == 0)
+    others = st.lists(st.sampled_from(list(_VALUES)), max_size=2)
+    extra = draw(others) if draw(rare) else []
+    # --seed and --cases have defaults, the other options are required
+    kept = [n for n in _COMMAND_OPTIONS.get(command, [])
+            if not draw(st.booleans() if n in ("--seed", "--cases") else rare)]
+    names = draw(st.permutations(kept + extra))
+    names += [names[0]] if names and draw(rare) else []
+    argv, values = [command], []
+    for name in names:
+        spelled = name[: draw(st.integers(3, len(name)))]
+        valid, invalid = _VALUES[name]
+        value = draw(st.sampled_from(invalid if invalid and draw(rare) else valid))
+        argv += [f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value]
+        values.append(value)
+    if draw(rare):
+        argv.insert(draw(st.integers(0, len(argv))), "stray")
+    if draw(rare):
+        argv.append(draw(st.sampled_from(list(_VALUES))))
+    return argv, values
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=command_lines())
+@example(case=(["bound", "--conf", "c", "--the", "even", "--t-grid=-1:1:3",
+                "--out", "o", "--out=p"], []))
+@example(case=(["verify", "--suite", "all"], []))
+@example(case=(["verify", "--suite", "bounds", "--seed", "-1"], ["-1"]))
+@example(case=(["verify", "--su=all", "--ca", "3", "--seed", "+2"], []))
+@example(case=(["simulate", "--config", "-x y", "--out", "-1"], []))
+def test_parse_args_agrees_with_argparse_oracle(case):
+    argv, values = case
+    expected = oracle_parse(argv)
+    if expected is not None:
+        assert vars(parse_args(argv)) == expected
+    elif not any(value.startswith("-") for value in values):
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 2
+
+
+def test_a_value_is_taken_verbatim():
+    # argparse read "-1:1:3" as an option; it is the grid's value now
+    argv = ["bound", "--config", "m", "--theorem", "even", "--t-grid", "-1:1:3",
+            "--out", "-h"]
+    assert oracle_parse(argv) is None
+    args = parse_args(argv)
+    assert args.t_grid == grid_points(-1.0, 1.0, 3) and args.out == "-h"
+    # argparse dropped "--" from a value and gave a list
+    argv = ["simulate", "--config", "c", "--out=--"]
+    assert oracle_parse(argv)["out"] == [] and parse_args(argv).out == "--"
+
+
+@pytest.mark.parametrize("argv", [
+    [flag, *where] for flag in ("-h", "--help") for where in
+    ([], ["verify"], ["bound"], ["simulate"], ["example45"])
+] + [
+    [command, flag] for flag in ("-h", "--help", "--he")
+    for command in ("verify", "bound", "simulate", "example45")
+] + [["bound", "--config", "m", "-h"], ["verify", "--cases", "3", "--help"]])
+def test_help_prints_usage_to_stdout_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == USAGE and captured.err == ""
+
+
+def test_usage_names_every_command_option_and_choice():
+    assert list(_COMMAND_OPTIONS) == list(cli._OPTIONS)
+    for command, table in cli._OPTIONS.items():
+        assert list(table) == _COMMAND_OPTIONS[command]
+        assert f"\n  {command}" in USAGE
+        assert all(name in USAGE for name in table)
+    assert all(choice in USAGE for choice in (*SUITE_NAMES, *THEOREMS[1:]))
+
+
+_BOUND = ["bound", "--config", "{config}", "--theorem", "even",
+          "--t-grid", "0:26:14", "--out", "{out}"]
+_SIMULATE = ["simulate", "--config", "{config}", "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    pytest.param(_BOUND[:3] + _BOUND[5:], "--theorem", id="missing"),
+    pytest.param(_BOUND + ["--bogus", "1"], "--bogus", id="unknown"),
+    pytest.param(_SIMULATE + ["--theorem=even"], "--theorem=even", id="other-command"),
+    pytest.param(_BOUND[:3] + ["--t", "even"] + _BOUND[5:], "--t", id="ambiguous"),
+    pytest.param(_BOUND[:5] + _BOUND[7:] + ["--t-grid"], "--t-grid", id="no-value"),
+    pytest.param(_SIMULATE[:1] + _SIMULATE[3:] + ["--config"], "--config",
+                 id="no-value-simulate"),
+    pytest.param(_BOUND + ["extra"], "extra", id="stray"),
+    pytest.param(_SIMULATE[:3] + ["extra"] + _SIMULATE[3:], "extra", id="stray-simulate"),
+])
+def test_usage_error_exits_2_naming_the_option(tmp_path, capsys, argv, option):
+    demo = TestShippedDemos.demo_dir
+    config = demo / ("model_even.json" if argv[0] == "bound" else "experiment_even.json")
+    out = tmp_path / "out.csv"
+    argv = [a.format(config=config, out=out) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    usage, error = captured.err.splitlines()
+    assert usage == USAGE.splitlines()[0]
+    assert error.startswith(f"error: {argv[0]}: {option}: ")
+
+
+def test_main_without_argv_runs_the_command_sys_argv_names(tmp_path, capsys, monkeypatch):
+    even = str(TestShippedDemos.demo_dir / "model_even.json")
+    argv = ["bound", "--config", even, "--theorem", "even", "--t-grid", "0:26:14",
+            "--out", str(tmp_path / "a.csv")]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    argv[-1] = str(tmp_path / "b.csv")
+    monkeypatch.setattr(sys, "argv", ["einbern", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def small_experiment_doc():
