@@ -28,7 +28,7 @@ from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
 from .spectral import (
     e_eigenvalues, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
 )
-from .tensor import DEFAULT_TOL, Tensor, e_symmetric_rows
+from .tensor import Tensor, e_symmetric_rows
 
 __all__ = [
     "Rademacher",
@@ -67,16 +67,18 @@ class _Law:
     summand can be and of how one trial draws the K weights.
 
     A law states the scale of a drawn component (``scale``) and whether
-    -X_k can be drawn as well as X_k (``signed``), and checks its own
-    parameters and the component stack (``check_stack``).  One trial
-    makes ``count`` uniform integer draws in [0, bound), where ``(bound,
-    count) = draws(K)``, each picking one summand, and ``rows`` turns
-    each row of draws into a row of K weights.  What a trial draws is
-    owned by ``streams.TrialDraws``.
+    -X_k can be drawn as well as X_k (``signed``), checks its own
+    parameters, and turns a finite component stack into the stack of
+    zero-mean summands (``population``).  One trial makes ``count``
+    uniform integer draws in [0, bound), where ``(bound, count) =
+    draws(K)``, each picking one summand, and ``rows`` turns each row of
+    draws into a row of K weights.  What a trial draws is owned by
+    ``streams.TrialDraws``.
     """
 
-    def check_stack(self, stack: np.ndarray) -> None:
-        """Any finite stack is a valid set of components."""
+    def population(self, stack: np.ndarray) -> np.ndarray:
+        """A signed summand +-X_k has zero mean: the stack as it is."""
+        return stack
 
     def weights(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """One trial's weight row: K floats drawn from ``rng``."""
@@ -103,7 +105,7 @@ class Rademacher(_Law):
 
 @dataclass(frozen=True)
 class Subsample(_Law):
-    """Summands are uniform draws from the centered population.
+    """Summands are uniform draws from the population, which the law centers.
 
     Each of ``sample_size`` independent draws picks one of the n centered
     population tensors and scales it by n / sample_size, matching the
@@ -122,16 +124,14 @@ class Subsample(_Law):
     def scale(self, k: int) -> float:
         return k / self.sample_size
 
-    def check_stack(self, stack: np.ndarray) -> None:
-        """The population must be centered, so that the summands have
-        zero mean."""
-        total = stack.sum(axis=0)
-        scale = float(np.abs(stack).max())
-        if float(np.abs(total).max()) > DEFAULT_TOL * max(scale, 1.0) * len(stack):
-            raise ModelError(
-                "subsample population is not centered; build the model "
-                "with SumModel.subsample to center it"
-            )
+    def population(self, stack: np.ndarray) -> np.ndarray:
+        """The centered population: the mean row is subtracted, so that
+        the summands have zero mean."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = stack - stack.mean(axis=0)
+        if not np.isfinite(centered).all():
+            raise NumericalError("centering the subsample population overflowed")
+        return centered
 
     def draws(self, k: int) -> tuple:
         return k, self.sample_size
@@ -145,19 +145,17 @@ class Subsample(_Law):
         return self.scale(k) * counts
 
 
-def _check_finite(stack: np.ndarray) -> np.ndarray:
+def _check_finite(stack: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(stack).all(axis=1))
     if bad.size:
         raise ModelError(
             f"non-finite entries (NaN or Inf) in {bad.size} of {len(stack)} "
             f"components, first at index {bad[0]}"
         )
-    return stack
 
 
 def _stack_components(components) -> tuple:
-    """(shape, stack) of same-shape tensors, checked finite before any
-    centering, which would spread one NaN to every row."""
+    """(shape, stack) of same-shape tensors."""
     comps = tuple(components)
     if not comps:
         raise ModelError("a model needs at least one component")
@@ -167,7 +165,7 @@ def _stack_components(components) -> tuple:
     for c in comps:
         if c.shape != shape:
             raise ModelError(f"components disagree in shape: {c.shape} vs {shape}")
-    return shape, _check_finite(np.stack([c.data for c in comps]))
+    return shape, np.stack([c.data for c in comps])
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +173,10 @@ class SumModel:
     """A random sum Y = sum_k X_k of independent zero-mean tensors.
 
     Row k of the read-only (K, d**N) ``stack`` is the flat buffer of
-    component k, of mode sizes ``shape``; a view is copied, so no other
-    array writes to the model.  ``components`` are Tensor views of the
-    rows, built on first use; bounds and trials never need them.
+    component k, of mode sizes ``shape``: the law's ``population`` of the
+    finite stack given (a subsample law centers it), copied if a view, so
+    no other array writes to the model.  ``components`` are Tensor views
+    of the rows, built on first use; bounds and trials never need them.
     """
 
     shape: tuple
@@ -187,8 +186,6 @@ class SumModel:
     def __post_init__(self):
         shape = tuple(self.shape)
         stack = np.asarray(self.stack, dtype=np.float64)
-        if stack.base is not None:
-            stack = stack.copy()
         if stack.ndim != 2 or not len(stack) or stack.shape[1] != math.prod(shape):
             raise ModelError(f"a {stack.shape} stack cannot hold shape {shape} rows")
         _check_finite(stack)
@@ -196,10 +193,12 @@ class SumModel:
             raise ModelError(f"components must be cubic with order >= 1, got {shape}")
         if not isinstance(self.law, _Law):
             raise ModelError(f"unsupported randomness law: {self.law!r}")
+        stack = self.law.population(stack)
+        if stack.base is not None:
+            stack = stack.copy()
         stack.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "stack", stack)
-        self.law.check_stack(stack)
 
     @classmethod
     def rademacher(cls, components) -> "SumModel":
@@ -207,9 +206,8 @@ class SumModel:
 
     @classmethod
     def subsample(cls, population, sample_size: int) -> "SumModel":
-        """Center a population and wrap it in a subsampling model."""
-        shape, stack = _stack_components(population)
-        return cls(shape, stack - stack.mean(axis=0), Subsample(sample_size))
+        """Wrap a population in a subsampling model, which centers it."""
+        return cls(*_stack_components(population), Subsample(sample_size))
 
     @cached_property
     def components(self) -> tuple:
@@ -284,22 +282,24 @@ def stack_statistics(model: SumModel, rows: np.ndarray, kind: str) -> np.ndarray
     return out
 
 
-def uniform_bound_L(model: SumModel, kind: str | None = None) -> float:
+def uniform_bound_L(model: SumModel, theorem: str = "auto") -> float:
     """Smallest uniform cap on the per-summand statistic.
 
-    ``kind`` is a theorem name, resolved by ``resolve_theorem``: the
-    even bound caps the largest eigenvalue of each realizable summand,
-    the others cap its spectral norm.  Both enumerate the finite
-    realization set exactly: two signs per component under Rademacher
-    (so the even cap is the eigenvalue magnitude), one scaled tensor per
-    population member under subsampling.
+    ``theorem`` is resolved by ``resolve_theorem``: the even bound caps
+    the largest eigenvalue of each realizable summand, the others cap
+    its spectral norm.  Both enumerate the finite realization set
+    exactly: two signs per component under Rademacher (so the even cap
+    is the eigenvalue magnitude), one scaled tensor per population
+    member under subsampling.  A cap that overflows is a NumericalError.
     """
     stat = "sigma_max"
-    if resolve_theorem(model, kind or "auto") == "even":
+    if resolve_theorem(model, theorem) == "even":
         stat = "abs_eig" if model.law.signed else "lambda_max"
-    scale = model.law.scale(len(model.stack))
-    best = scale * stack_statistics(model, model.stack, stat).max()
-    return float(max(best, 0.0))
+    top = float(stack_statistics(model, model.stack, stat).max())
+    best = float(model.law.scale(len(model.stack))) * top
+    if not math.isfinite(best):
+        raise NumericalError("the uniform bound L overflowed")
+    return max(best, 0.0)
 
 
 def _gram(rows: np.ndarray, factor: float) -> np.ndarray:
@@ -521,26 +521,15 @@ def _trace(matrix: np.ndarray, label: str) -> float:
     return trace
 
 
-def _check_e_psd(t: Tensor, label: str) -> np.ndarray:
+def _check_e_psd(t: Tensor, problem: str, scale=None) -> np.ndarray:
+    """The E-spectrum of ``t``, which must be E-PSD: eigenvalues down to
+    -PSD_TOL times the norm of the spectrum ``scale`` (by default that of
+    ``t``) pass; a lower one is a DomainError that states ``problem``."""
     values = e_eigenvalues(t)
-    norm = max(values[0], -values[-1])
-    if values[-1] < -PSD_TOL * max(norm, 1.0):
-        raise DomainError(f"{label} must be E-PSD (min eigenvalue {values[-1]:.3e})")
+    scale = values if scale is None else scale
+    if values[-1] < -PSD_TOL * max(scale[0], -scale[-1], 1.0):
+        raise DomainError(f"{problem} (min eigenvalue {values[-1]:.3e})")
     return values
-
-
-def _check_dominates(
-    bound: Tensor, bound_values: np.ndarray, exact: Tensor, label: str
-) -> None:
-    """``bound`` - ``exact`` is E-PSD; ``bound_values`` is the spectrum
-    of ``bound``, which scales the tolerance."""
-    values = e_eigenvalues(bound - exact)
-    norm_bound = max(bound_values[0], -bound_values[-1])
-    if values[-1] < -PSD_TOL * max(norm_bound, 1.0):
-        raise DomainError(
-            f"{label} does not dominate the exact variance statistic "
-            f"(min eigenvalue of difference {values[-1]:.3e})"
-        )
 
 
 def intrinsic_report(
@@ -562,12 +551,13 @@ def intrinsic_report(
     """
     if L < 0:
         raise DomainError("L must be nonnegative")
-    vals_outer = _check_e_psd(v_outer, "outer variance bound")
-    vals_inner = _check_e_psd(v_inner, "inner variance bound")
+    vals_outer = _check_e_psd(v_outer, "outer variance bound must be E-PSD")
+    vals_inner = _check_e_psd(v_inner, "inner variance bound must be E-PSD")
+    dominates = "variance bound does not dominate the exact variance statistic"
     if exact_outer is not None:
-        _check_dominates(v_outer, vals_outer, exact_outer, "outer variance bound")
+        _check_e_psd(v_outer - exact_outer, f"outer {dominates}", vals_outer)
     if exact_inner is not None:
-        _check_dominates(v_inner, vals_inner, exact_inner, "inner variance bound")
+        _check_e_psd(v_inner - exact_inner, f"inner {dominates}", vals_inner)
 
     m = v_outer.order // 2
     order = m + v_inner.order // 2

@@ -194,7 +194,7 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
         raise ModelError("with_replacement must be a boolean")
     if not doc.get("with_replacement", True):
         raise ModelError("subsampling without replacement breaks independence; refused")
-    return SumModel(shape, stack - stack.mean(axis=0), Subsample(sample_size))
+    return SumModel(shape, stack, Subsample(sample_size))
 
 
 def grid_points(start: float, stop: float, num: int) -> tuple:

@@ -16,7 +16,9 @@ import numpy as np
 
 from .algebra import hermitian_dilation, matricize, matricize_general, unmatricize
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
-from .tensor import Tensor, apply_power_map, is_e_symmetric, is_fully_symmetric
+from .tensor import (
+    Tensor, apply_power_map, is_e_symmetric, is_fully_symmetric, symmetry_defects
+)
 
 __all__ = [
     "EigenDecomposition",
@@ -75,7 +77,7 @@ def sym_eig(mat) -> EigenDecomposition:
         raise NumericalError("matrix has non-finite entries")
     n = m.shape[0]
     scale = float(np.abs(m).max()) if m.size else 0.0
-    if float(np.abs(m - m.T).max()) > 1e-12 * max(1.0, scale) * n:
+    if float(symmetry_defects(m[None])[0]) > 1e-12 * max(1.0, scale) * n:
         raise SymmetryError("matrix is not symmetric within tolerance")
     try:
         values, vectors = np.linalg.eigh((m + m.T) / 2.0)
@@ -180,10 +182,10 @@ def is_e_psd(t: Tensor, tol: float = 1e-10) -> bool:
     return float(values[-1]) >= -tol
 
 
-def is_e_pd(t: Tensor, tol: float = 1e-10) -> bool:
-    """True when every Einstein eigenvalue exceeds tol."""
+def is_e_pd(t: Tensor) -> bool:
+    """True when every Einstein eigenvalue exceeds 1e-10."""
     values = e_eigenvalues(t)
-    return float(values[-1]) > tol
+    return float(values[-1]) > 1e-10
 
 
 @dataclass(frozen=True)
@@ -203,7 +205,6 @@ def z_eigen_max(
     t: Tensor,
     restarts: int = 100,
     iters: int = 1000,
-    tol: float = 1e-10,
     seed: int = 0,
 ) -> ZEigenEstimate:
     """Shifted symmetric power iterations from random unit starts.
@@ -240,7 +241,7 @@ def z_eigen_max(
         for _ in range(max(1, iters)):
             grad = apply_power_map(t, x)
             lam = float(x @ grad)
-            if lam_prev is not None and abs(lam - lam_prev) <= tol * (1.0 + abs(lam)):
+            if lam_prev is not None and abs(lam - lam_prev) <= 1e-10 * (1.0 + abs(lam)):
                 converged = True
                 break
             lam_prev = lam

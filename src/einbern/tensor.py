@@ -201,15 +201,23 @@ def identity_tensor(m: int, d: int) -> Tensor:
     return Tensor((d,) * (2 * m), eye.reshape(-1, order="F"), copy=False)
 
 
+def symmetry_defects(mats: np.ndarray) -> np.ndarray:
+    """max|M - M^T| of each matrix M of a (B, n, n) stack.  A defect that
+    overflows is inf, which no tolerance accepts."""
+    with np.errstate(over="ignore"):
+        diff = mats - np.swapaxes(mats, -1, -2)
+    np.abs(diff, out=diff)
+    return diff.max(axis=(-2, -1))
+
+
 def is_e_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """True when the tensor equals its paired-mode transpose within tol."""
     d = _require_even_cubic(t)
     if t.order == 0:
         return True
     half = d ** (t.order // 2)
-    mat = t.data.reshape((half, half), order="F")
-    diff = float(np.abs(mat - mat.T).max())
-    return diff <= tol * t.max_abs()
+    mat = t.data.reshape((1, half, half), order="F")
+    return float(symmetry_defects(mat)[0]) <= tol * t.max_abs()
 
 
 def e_symmetric_rows(rows) -> np.ndarray:
@@ -219,10 +227,8 @@ def e_symmetric_rows(rows) -> np.ndarray:
     n = math.isqrt(rows.shape[-1])
     if rows.ndim != 2 or n * n != rows.shape[1]:
         raise ShapeError(f"rows of shape {rows.shape} do not unfold to square matrices")
-    mats = rows.reshape(len(rows), n, n)
-    diff = mats - mats.transpose(0, 2, 1)
-    np.abs(diff, out=diff)
-    return diff.max(axis=(1, 2)) <= DEFAULT_TOL * np.abs(rows).max(axis=1)
+    defects = symmetry_defects(rows.reshape(len(rows), n, n))
+    return defects <= DEFAULT_TOL * np.abs(rows).max(axis=1)
 
 
 def is_diagonal(t: Tensor, tol: float = DEFAULT_TOL) -> bool:

@@ -19,6 +19,7 @@ from einbern import (
     SymmetryError,
     Tensor,
     build_report,
+    delinearize,
     einstein_second_moment,
     expectation_bound,
     expectation_bound_general,
@@ -29,6 +30,7 @@ from einbern import (
     intrinsic_report,
     matricize,
     matricize_general,
+    model_from_dict,
     outer_power,
     random_e_symmetric,
     random_tensor,
@@ -76,14 +78,27 @@ class TestSumModel:
         assert np.abs(total).max() <= 1e-14
         assert model.num_summands == 3
 
-    def test_uncentered_population_rejected(self):
-        comp = identity_tensor(1, 2)
-        with pytest.raises(ModelError, match="not centered"):
-            SumModel(comp.shape, comp.data[None], Subsample(2))
-        # the law's own check, on an uncentered and a centered stack
-        with pytest.raises(ModelError, match="not centered"):
-            Subsample(2).check_stack(np.array([[1.0, 0.0], [0.5, 0.0]]))
-        Subsample(2).check_stack(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+    def test_every_construction_centers_a_subsample_population(self):
+        # the law centers its population, however the model is built
+        rng = np.random.default_rng(23)
+        pop = [random_tensor(rng, (2, 2, 2)) for _ in range(5)]
+        stacked = np.stack([c.data for c in pop])
+        want = stacked - stacked.mean(axis=0)
+        doc = {"law": "subsample", "sample_size": 3, "components": [
+            {"shape": [2, 2, 2],
+             "entries": [[*delinearize(i + 1, (2, 2, 2)), float(v)]
+                         for i, v in enumerate(c.data)]}
+            for c in pop]}
+        for model in (SumModel.subsample(pop, 3),
+                      SumModel((2, 2, 2), stacked, Subsample(3)),
+                      model_from_dict(doc)):
+            assert model.stack.tobytes() == want.tobytes()
+        # a tiny uncentered population centers to zeros, whatever its scale
+        tiny = np.array([[1e-20, 0.0], [1e-20, 0.0]])
+        for stack in (tiny, 1e20 * tiny):
+            model = SumModel((2,), stack, Subsample(2))
+            assert not model.stack.any()
+            assert build_report(model, "general").L == 0.0
 
     def test_unsupported_law_rejected(self):
         comp = identity_tensor(1, 2)
@@ -129,8 +144,9 @@ class TestSumModel:
         model = SumModel((2, 2, 2), stack)
         assert model.stack is stack and not stack.flags.writeable
         assert model.shape == (2, 2, 2) and model.num_summands == 3
-        centered = stack - stack.mean(axis=0)
-        assert SumModel((2, 2, 2), centered, Subsample(2)).stack is centered
+        sub = SumModel((2, 2, 2), stack, Subsample(2)).stack
+        assert sub is not stack and not sub.flags.writeable
+        assert np.array_equal(sub, stack - stack.mean(axis=0))
         with pytest.raises(ModelError, match="in 1 of 1 components, first at index 0"):
             SumModel((2, 2), np.array([[1.0, 0.0, 0.0, math.nan]]))
         for shape, rows in [((2, 2), np.zeros((1, 3))), ((2, 2), np.zeros((0, 4))),

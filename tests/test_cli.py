@@ -742,6 +742,45 @@ class TestOverflowingQuantities:
         self.assert_exit_4(proc, out, "trace of the outer variance bound overflowed")
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_centering_overflow_exits_4(self, tmp_path):
+        # every entry is finite, but their mean overflows
+        component = {"shape": [2, 2], "entries": [[1, 1, 1.5e308]]}
+        config = write_json(tmp_path / "model.json", {
+            "schema": 1, "law": "subsample", "sample_size": 2,
+            "components": [component, component]})
+        out = tmp_path / "a.csv"
+        proc = run_cli("bound", "--config", config, "--theorem", "general",
+                       "--t-grid", "0:1:3", "--out", str(out))
+        self.assert_exit_4(proc, out, "centering the subsample population overflowed")
+
+    def test_L_overflow_exits_4_in_bound_and_simulate(self, tmp_path):
+        # n/s = 5/2 times a largest singular value near 1e308
+        model = {"law": "subsample", "sample_size": 2,
+                 "generate": {"count": 5, "order": 2, "dim": 2, "seed": 1,
+                              "kind": "general", "scale": 8e307}}
+        config = write_json(tmp_path / "model.json", {"schema": 1, **model})
+        out = tmp_path / "a.csv"
+        proc = run_cli("bound", "--config", config, "--theorem", "general",
+                       "--t-grid", "0:1:3", "--out", str(out))
+        self.assert_exit_4(proc, out, "the uniform bound L overflowed")
+        config = write_json(tmp_path / "exp.json", {
+            "schema": 1, "model": model, "trials": 100, "t_grid": [0.0, 1.0],
+            "seed": 0, "theorem": "general"})
+        proc = run_cli("simulate", "--config", config, "--out", str(out))
+        self.assert_exit_4(proc, out, "the uniform bound L overflowed")
+
+    def test_symmetry_defect_overflow_exits_3(self, tmp_path):
+        # M - M^T overflows: not E-symmetric, and no numpy warning
+        component = {"shape": [2, 2], "entries": [[1, 2, 1e308], [2, 1, -1e308]]}
+        config = write_json(tmp_path / "model.json", {
+            "schema": 1, "law": "rademacher", "components": [component]})
+        out = tmp_path / "a.csv"
+        proc = run_cli("bound", "--config", config, "--theorem", "even",
+                       "--t-grid", "0:1:3", "--out", str(out))
+        assert proc.returncode == 3 and proc.stdout == "" and not out.exists()
+        assert proc.stderr == ("error: the even-order bound needs an even order "
+                               "and pairwise-symmetric components\n")
+
 
 class TestExample45Command:
     def test_prints_expected_facts(self, capsys):

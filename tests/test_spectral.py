@@ -78,6 +78,9 @@ class TestSymEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(SymmetryError):
             sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # a defect that overflows is refused, not warned about
+        with pytest.raises(SymmetryError):
+            sym_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):

@@ -212,10 +212,14 @@ class TestSymmetryPredicates:
         tensors = [random_e_symmetric(rng, 2, 2) for _ in range(3)]
         tensors += [random_tensor(rng, (2, 2, 2, 2)) for _ in range(3)]
         tensors.append(Tensor((2, 2, 2, 2), np.zeros(16)))
+        # antisymmetric +-1e308 entries: the defect overflows to inf
+        huge = np.zeros(16)
+        huge[4], huge[1] = 1e308, -1e308
+        tensors.append(Tensor((2, 2, 2, 2), huge))
         rows = np.stack([t.data for t in tensors])
         want = [is_e_symmetric(t) for t in tensors]
         assert e_symmetric_rows(rows).tolist() == want
-        assert want == [True] * 3 + [False] * 3 + [True]
+        assert want == [True] * 3 + [False] * 3 + [True, False]
 
     def test_rows_must_unfold_square(self):
         with pytest.raises(ShapeError):
