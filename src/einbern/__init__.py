@@ -77,8 +77,6 @@ from .montecarlo import (
     TailRow,
     format_results_csv,
     run_experiment,
-    sample_sum,
-    trial_rng,
 )
 from .spectral import (
     EigenDecomposition,
@@ -96,6 +94,7 @@ from .spectral import (
     top_singular_values,
     z_eigen_max,
 )
+from .streams import trial_rng
 from .tensor import (
     DEFAULT_TOL,
     Tensor,

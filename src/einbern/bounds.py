@@ -28,7 +28,7 @@ from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
 from .spectral import (
     e_eigenvalues, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
 )
-from .tensor import Tensor, e_symmetric_rows
+from .tensor import Tensor, _fmt, e_symmetric_rows
 
 __all__ = [
     "Rademacher",
@@ -79,11 +79,6 @@ class _Law:
     def population(self, stack: np.ndarray) -> np.ndarray:
         """A signed summand +-X_k has zero mean: the stack as it is."""
         return stack
-
-    def weights(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        """One trial's weight row: K floats drawn from ``rng``."""
-        bound, count = self.draws(k)
-        return self.rows(rng.integers(0, bound, size=count)[None], k)[0]
 
 
 @dataclass(frozen=True)
@@ -264,22 +259,19 @@ def stack_statistics(model: SumModel, rows: np.ndarray, kind: str) -> np.ndarray
     """Statistic ``kind`` of each row of a (B, d**N) stack of tensors
     shaped like the model's components.
 
-    Non-finite rows or results are a NumericalError.  The eigenvalue
-    kinds are asked for only when the model is E-symmetric, and solve
-    the symmetric part of each row's square unfolding.
+    Non-finite rows are a NumericalError, and so, from the solvers, are
+    non-finite results.  The eigenvalue kinds are asked for only when
+    the model is E-symmetric, and solve the symmetric part of each row's
+    square unfolding.
     """
     if not np.isfinite(rows).all():
         raise NumericalError("a summed tensor has non-finite entries (overflow)")
     mats = matricize_rows(rows, model.order, model.dim)
     if kind == "sigma_max":
-        out = top_singular_values(mats)
-    else:
-        values = sym_eigvals(mats)
-        top = values[:, -1]
-        out = top if kind == "lambda_max" else np.maximum(top, -values[:, 0])
-    if not np.isfinite(out).all():
-        raise NumericalError("a statistic overflowed to a non-finite value")
-    return out
+        return top_singular_values(mats)
+    values = sym_eigvals(mats)
+    top = values[:, -1]
+    return top if kind == "lambda_max" else np.maximum(top, -values[:, 0])
 
 
 def uniform_bound_L(model: SumModel, theorem: str = "auto") -> float:
@@ -612,10 +604,6 @@ def build_report(model: SumModel, theorem: str = "auto") -> BernsteinReport:
     return intrinsic_report(gv.outer, gv.inner, L)
 
 
-def _g(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def format_report(report: BernsteinReport) -> str:
     """Flat key=value serialization, one entry per line."""
     pairs = [
@@ -623,16 +611,16 @@ def format_report(report: BernsteinReport) -> str:
         ("order", str(report.order)),
         ("dim", str(report.dim)),
         ("split", str(report.split)),
-        ("L", _g(report.L)),
-        ("nu", _g(report.nu)),
-        ("dim_factor", _g(report.dim_factor)),
-        ("tail_factor", _g(report.tail_factor)),
+        ("L", _fmt(report.L)),
+        ("nu", _fmt(report.nu)),
+        ("dim_factor", _fmt(report.dim_factor)),
+        ("tail_factor", _fmt(report.tail_factor)),
     ]
     if report.dv is not None:
-        pairs.append(("intrinsic_dim", _g(report.dv)))
+        pairs.append(("intrinsic_dim", _fmt(report.dv)))
     if report.expectation_bound is not None:
-        pairs.append(("expectation_bound", _g(report.expectation_bound)))
-    pairs.append(("tail_domain_min", _g(report.tail_domain_min)))
+        pairs.append(("expectation_bound", _fmt(report.expectation_bound)))
+    pairs.append(("tail_domain_min", _fmt(report.tail_domain_min)))
     return "".join(f"{k}={v}\n" for k, v in pairs)
 
 
@@ -641,5 +629,5 @@ def format_tail_csv(report: BernsteinReport, ts) -> str:
     lines = ["t,bound_raw,bound_clamped"]
     for t in ts:
         raw, clamped = report.tail(float(t))
-        lines.append(f"{_g(t)},{_g(raw)},{_g(clamped)}")
+        lines.append(f"{_fmt(t)},{_fmt(raw)},{_fmt(clamped)}")
     return "\n".join(lines) + "\n"

@@ -31,16 +31,14 @@ from .bounds import (
     statistic,
 )
 from .errors import ModelError, NumericalError
-from .streams import TrialDraws, trial_rng
-from .tensor import Tensor
+from .streams import TrialDraws
+from .tensor import _fmt
 
 __all__ = [
     "ExperimentConfig",
     "TailRow",
     "ExperimentResult",
     "ExpectationCheck",
-    "trial_rng",
-    "sample_sum",
     "run_experiment",
     "format_results_csv",
 ]
@@ -90,15 +88,6 @@ class ExperimentConfig:
             )
         if self.theorem not in THEOREMS:
             raise ModelError(f"unknown theorem {self.theorem!r}")
-
-
-def sample_sum(model: SumModel, rng: np.random.Generator) -> Tensor:
-    """One realization of the random sum Y = sum_k X_k.
-
-    The scalar path: one weight row from ``rng``, times the stack.
-    """
-    flat = model.law.weights(rng, len(model.stack)) @ model.stack
-    return Tensor(model.shape, flat, copy=False)
 
 
 @dataclass(frozen=True)
@@ -233,10 +222,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _g(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def format_results_csv(result: ExperimentResult) -> str:
     """CSV rows (t, empirical_freq, upper_conf, bound_raw, bound_clamped,
     verdict), byte-deterministic for a given config."""
@@ -245,11 +230,11 @@ def format_results_csv(result: ExperimentResult) -> str:
         lines.append(
             ",".join(
                 [
-                    _g(row.t),
-                    _g(row.frequency),
-                    _g(row.upper_confidence),
-                    _g(row.bound_raw),
-                    _g(row.bound_clamped),
+                    _fmt(row.t),
+                    _fmt(row.frequency),
+                    _fmt(row.upper_confidence),
+                    _fmt(row.bound_raw),
+                    _fmt(row.bound_clamped),
                     "pass" if row.passed else "fail",
                 ]
             )

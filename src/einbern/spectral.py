@@ -67,7 +67,8 @@ def sym_eig(mat) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
     The input must be finite and symmetric within 1e-12 (scaled by its
-    largest entry and size); its symmetric part is decomposed.
+    largest entry and size); its symmetric part is decomposed, and a
+    symmetric part or eigenvalue that overflows is a NumericalError.
     Eigenvalues come back descending with a stable tie order.
     """
     m = np.asarray(mat, dtype=np.float64)
@@ -80,9 +81,10 @@ def sym_eig(mat) -> EigenDecomposition:
     if float(symmetry_defects(m[None])[0]) > 1e-12 * max(1.0, scale) * n:
         raise SymmetryError("matrix is not symmetric within tolerance")
     try:
-        values, vectors = np.linalg.eigh((m + m.T) / 2.0)
+        values, vectors = np.linalg.eigh(_symmetric_part(m))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
+    _require_finite_result(values, "eigenvalues")
     order = np.argsort(-values, kind="stable")
     return EigenDecomposition(values=values[order], vectors=vectors[:, order])
 
@@ -93,28 +95,26 @@ def sym_eigvals(mats) -> np.ndarray:
 
     The batched counterpart of ``sym_eig`` for callers that have checked
     symmetry: the symmetric part of each matrix is solved in one LAPACK
-    call.  Non-finite entries, or a symmetric part that overflows, are a
-    NumericalError.
+    call.  Non-finite entries, or a symmetric part or eigenvalue that
+    overflows, are a NumericalError.
     """
-    m = _matrix_stack(mats)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = m + np.swapaxes(m, -1, -2)
-    _require_finite(sym)
-    sym /= 2.0
     try:
-        return np.linalg.eigvalsh(sym)
+        values = np.linalg.eigvalsh(_symmetric_part(_matrix_stack(mats)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
+    return _require_finite_result(values, "eigenvalues")
 
 
 def top_singular_values(mats) -> np.ndarray:
-    """Largest singular value of each matrix in a finite (B, r, c) stack."""
+    """Largest singular value of each matrix in a finite (B, r, c) stack;
+    one that overflows is a NumericalError."""
     m = _matrix_stack(mats)
     _require_finite(m)
     try:
-        return np.linalg.svd(m, compute_uv=False)[:, 0]
+        top = np.linalg.svd(m, compute_uv=False)[:, 0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"svd did not converge: {exc}") from exc
+    return _require_finite_result(top, "singular values")
 
 
 def _matrix_stack(mats) -> np.ndarray:
@@ -127,6 +127,28 @@ def _matrix_stack(mats) -> np.ndarray:
 def _require_finite(m: np.ndarray) -> None:
     if not np.isfinite(m).all():
         raise NumericalError("matrix stack has non-finite entries")
+
+
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 of each matrix of a stack; non-finite entries, or a
+    sum that overflows, are a NumericalError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = m + np.swapaxes(m, -1, -2)
+    if not np.isfinite(sym).all():
+        _require_finite(m)
+        raise NumericalError(
+            "the symmetric part of a matrix overflowed to a non-finite value"
+        )
+    sym /= 2.0
+    return sym
+
+
+def _require_finite_result(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, which a solver returned; a non-finite one is a
+    NumericalError naming ``what`` overflowed."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} overflowed to a non-finite value")
+    return values
 
 
 def _require_e_symmetric(t: Tensor) -> None:

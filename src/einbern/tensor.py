@@ -354,7 +354,9 @@ def random_fully_symmetric(
 
 
 def _fmt(value: float) -> str:
-    return format(value, ".17g")
+    """The .17g text of a float, which round-trips it: the number format
+    of fixtures, bound reports and CSV files."""
+    return format(float(value), ".17g")
 
 
 def format_tensor_text(t: Tensor) -> str:

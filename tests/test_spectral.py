@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from einbern import (
     ConvergenceError,
+    EinbernError,
+    EinsteinEVD,
     NumericalError,
     ShapeError,
     SymmetryError,
@@ -35,6 +39,7 @@ from einbern import (
     sym_eigvals,
     top_singular_values,
     transpose_even,
+    unmatricize,
     z_eigen_max,
     apply_power,
 )
@@ -100,6 +105,11 @@ class TestSymEig:
     def test_rejects_inf(self, value):
         with pytest.raises(NumericalError):
             sym_eig(np.array([[value, 0.0], [0.0, 1.0]]))
+
+    def test_overflowing_symmetric_part_is_numerical_error(self):
+        # symmetric and finite, but M + M^T overflows: refused, not warned
+        with pytest.raises(NumericalError, match="symmetric part .* overflowed"):
+            sym_eig(np.array([[0.0, 1e308], [1e308, 0.0]]))
 
     def test_lapack_failure_is_convergence_error(self, monkeypatch):
         def fail(_):
@@ -332,3 +342,91 @@ class TestBatchedSpectra:
             sym_eigvals(mats)
         with pytest.raises(NumericalError):
             top_singular_values(mats)
+
+    def test_overflowing_results_are_numerical_errors(self):
+        # finite and symmetric, with a top eigenvalue and singular value
+        # of 2.4e308
+        mat = np.full((3, 3), 8e307)
+        with pytest.raises(NumericalError, match="eigenvalues overflowed"):
+            sym_eig(mat)
+        with pytest.raises(NumericalError, match="eigenvalues overflowed"):
+            sym_eigvals(mat[None])
+        with pytest.raises(NumericalError, match="singular values overflowed"):
+            top_singular_values(mat[None])
+
+
+# ordinary entries, and entries at the float limits: 1e154 squares to
+# 1e308; 8.9e307 doubles to a finite value, but three of them overflow;
+# 1.7e308 nearly is the largest float; and 1e-310 is subnormal
+ENTRIES = st.sampled_from(
+    [0.0, 1.0, -2.5, 1e154, -1e154, 8.9e307, -8.9e307, 1.7e308, -1.7e308,
+     1e-310, -1e-310]
+)
+
+
+@st.composite
+def square_matrices(draw, n):
+    """An n by n matrix, half the time symmetric (its upper triangle
+    mirrored, so building it adds nothing)."""
+    a = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n)))
+    a = a.reshape(n, n)
+    if draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+    return a
+
+
+@st.composite
+def spectral_calls(draw):
+    """(function, argument) of one call to a spectral function on a small
+    input built from ENTRIES: a matrix or stack with n <= 4, or a cubic
+    tensor of order <= 4, E-symmetric (from a symmetric unfolding) or
+    not."""
+    fn = draw(st.sampled_from(
+        [sym_eig, sym_eigvals, top_singular_values, e_eigenvalues, e_evd,
+         e_spectral_norm, gen_spectral_norm]
+    ))
+    if fn is sym_eig:
+        return fn, draw(square_matrices(draw(st.integers(1, 4))))
+    if fn is sym_eigvals:
+        n = draw(st.integers(1, 4))
+        return fn, np.stack([draw(square_matrices(n))
+                             for _ in range(draw(st.integers(1, 3)))])
+    if fn is top_singular_values:
+        shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+        size = math.prod(shape)
+        entries = draw(st.lists(ENTRIES, min_size=size, max_size=size))
+        return fn, np.array(entries).reshape(shape)
+    order = draw(st.integers(1, 4)) if fn is gen_spectral_norm else 2 * draw(
+        st.integers(1, 2))
+    d = draw(st.integers(1, 4 if order <= 2 else 2))
+    if order % 2 == 0 and draw(st.booleans()):
+        return fn, unmatricize(draw(square_matrices(d ** (order // 2))), order, d)
+    size = d**order
+    return fn, Tensor((d,) * order,
+                      draw(st.lists(ENTRIES, min_size=size, max_size=size)))
+
+
+def result_arrays(result):
+    """Every number a spectral function returned, as arrays."""
+    if isinstance(result, (float, np.ndarray)):
+        return [np.asarray(result)]
+    if isinstance(result, EinsteinEVD):
+        return [result.u.data, result.diag.data, result.values]
+    return [result.values, result.vectors]
+
+
+@given(call=spectral_calls())
+@example(call=(sym_eig, np.array([[0.0, 1.7e308], [1.7e308, 0.0]])))
+@example(call=(sym_eigvals, np.full((1, 3, 3), 8.9e307)))
+@example(call=(top_singular_values, np.full((1, 3, 3), 8.9e307)))
+@example(call=(e_spectral_norm, Tensor((3, 3), np.full(9, 8.9e307))))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_spectral_functions_return_finite_values_or_raise(call):
+    # warnings are errors here, so a numpy overflow warning fails too
+    fn, arg = call
+    try:
+        result = fn(arg)
+    except EinbernError:
+        return
+    for values in result_arrays(result):
+        assert np.isfinite(values).all()
