@@ -4,12 +4,12 @@ Eigensolves go through LAPACK ``eigh`` via numpy.  Everything spectral
 about a pairwise-symmetric tensor reduces to the spectrum of its square
 unfolding.  ``sym_eigvals`` and ``top_singular_values`` solve a whole
 stack of unfoldings in one call; the per-tensor functions stay as the
-reference they are checked against.
+reference they are checked against.  ``z_eigen_max`` runs its power
+iterations from every start at once, as one block of vectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,13 +229,19 @@ def z_eigen_max(
     iters: int = 1000,
     seed: int = 0,
 ) -> ZEigenEstimate:
-    """Shifted symmetric power iterations from random unit starts.
+    """Shifted symmetric power iterations (Kolda & Mayo 2011) from random
+    unit starts, all R = max(1, restarts) of them iterated as one block.
 
-    The shift 1 + sum|entries| makes each iteration monotone in the form
-    value, so runs settle into local maxima; the best converged start is
-    returned.  Whatever start it came from, the returned value is a valid
-    lower bound on the largest Z-eigenvalue of a fully symmetric
-    even-order tensor, up to the reported residual.
+    The starts are the rows of ``default_rng(seed).standard_normal((R, d))``.
+    Each iteration contracts the whole (R, d) block in one product of
+    R * d^(N-1) floats for order N, and freezes a row once its form value
+    moves by at most 1e-10 (1 + |value|).  The shift 1 + sum|entries|
+    makes each iteration monotone in the form value, so rows settle into
+    local maxima; the best converged row is returned.  Whatever start it
+    came from, the returned value is a valid lower bound on the largest
+    Z-eigenvalue of a fully symmetric even-order tensor, up to the
+    reported residual.  A value, step or residual that overflows is a
+    NumericalError.
     """
     if t.order < 2 or t.order % 2:
         raise ShapeError(f"order {t.order} must be even and at least 2")
@@ -244,42 +250,31 @@ def z_eigen_max(
     if not is_fully_symmetric(t):
         raise SymmetryError("tensor is not fully symmetric within tolerance")
 
-    d = t.cubic_dim
-    alpha = 1.0 + float(np.abs(t.data).sum())
-    rng = np.random.default_rng(seed)
-    best: ZEigenEstimate | None = None
-    best_residual = math.inf
-
-    for _ in range(max(1, restarts)):
-        x = rng.standard_normal(d)
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
-            continue
-        x = x / norm
-        lam_prev = None
-        lam = 0.0
-        grad = np.zeros(d)
-        converged = False
+    x = np.random.default_rng(seed).standard_normal((max(1, restarts), t.cubic_dim))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    done = np.zeros(len(x), dtype=bool)
+    lam_prev = np.full(len(x), np.nan)  # no row settles on its first value
+    with np.errstate(over="ignore", invalid="ignore"):
+        alpha = 1.0 + np.abs(t.data).sum()
         for _ in range(max(1, iters)):
             grad = apply_power_map(t, x)
-            lam = float(x @ grad)
-            if lam_prev is not None and abs(lam - lam_prev) <= 1e-10 * (1.0 + abs(lam)):
-                converged = True
+            lam = np.einsum("ij,ij->i", x, grad)
+            done |= np.abs(lam - lam_prev) <= 1e-10 * (1.0 + np.abs(lam))
+            if done.all():
                 break
-            lam_prev = lam
             step = grad + alpha * x
-            x = step / float(np.linalg.norm(step))
-        if not converged:
-            grad = apply_power_map(t, x)
-            lam = float(x @ grad)
-        residual = float(np.linalg.norm(grad - lam * x))
-        best_residual = min(best_residual, residual)
-        if converged and (best is None or lam > best.value):
-            best = ZEigenEstimate(value=lam, vector=x.copy(), residual=residual)
-
-    if best is None:
+            norm = np.linalg.norm(step, axis=1)
+            _require_finite_result(np.stack([lam, norm]), "power iteration values")
+            x = np.where(done[:, None], x, step / norm[:, None])
+            lam_prev = lam
+        grad = apply_power_map(t, x)
+        lam = np.einsum("ij,ij->i", x, grad)
+        residual = np.linalg.norm(grad - lam[:, None] * x, axis=1)
+    _require_finite_result(np.stack([lam, residual]), "power iteration values")
+    if not done.any():
         raise ConvergenceError(
             f"no start converged within {iters} iterations "
-            f"(best residual {best_residual:.3e})"
+            f"(best residual {residual.min():.3e})"
         )
-    return best
+    best = int(np.argmax(np.where(done, lam, -np.inf)))  # the first maximum
+    return ZEigenEstimate(float(lam[best]), x[best].copy(), float(residual[best]))

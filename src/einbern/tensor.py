@@ -250,9 +250,10 @@ def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
         return True
     arr = t.to_array()
     scale = t.max_abs()
-    for perm in permutations(range(t.order)):
-        if float(np.abs(arr - arr.transpose(perm)).max()) > tol * scale:
-            return False
+    with np.errstate(over="ignore"):  # an overflowing defect is inf: refused
+        for perm in permutations(range(t.order)):
+            if float(np.abs(arr - arr.transpose(perm)).max()) > tol * scale:
+                return False
     return True
 
 
@@ -292,7 +293,9 @@ def apply_power(t: Tensor, x) -> float:
 
 
 def apply_power_map(t: Tensor, x) -> np.ndarray:
-    """Contract all but the first mode with copies of x.
+    """Contract all but the first mode with copies of x, for one vector or
+    each row of an (R, d) block, in one product: the mode-1 unfolding times
+    each row's (N-1)-fold Kronecker power, whose equal factors commute.
 
     For a fully symmetric tensor this is the gradient map whose fixed
     directions are the Z-eigenvectors.
@@ -301,12 +304,12 @@ def apply_power_map(t: Tensor, x) -> np.ndarray:
     if t.order == 0:
         raise ShapeError("order-0 tensor has no modes to keep")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (d,):
-        raise ShapeError(f"vector of length {x.size} for dimension {d}")
-    arr = t.to_array()
-    for _ in range(t.order - 1):
-        arr = np.tensordot(arr, x, axes=([arr.ndim - 1], [0]))
-    return np.asarray(arr, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ShapeError(f"vectors of shape {x.shape} for dimension {d}")
+    powers = rows = np.atleast_2d(x)
+    for _ in range(t.order - 2):
+        powers = (powers[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
+    return (powers @ t.data.reshape(-1, d)).reshape(x.shape)
 
 
 def hadamard(a: Tensor, b: Tensor) -> Tensor:

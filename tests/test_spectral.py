@@ -1,12 +1,15 @@
 """Eigensolver contracts, Einstein spectra, norms, and Z-eigenvalues."""
 
 import math
+from functools import partial
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from einbern import (
     ConvergenceError,
     EinbernError,
@@ -41,6 +44,7 @@ from einbern import (
     transpose_even,
     unmatricize,
     z_eigen_max,
+    ZEigenEstimate,
     apply_power,
 )
 
@@ -316,6 +320,43 @@ class TestZEigenMax:
         est = z_eigen_max(Tensor((2, 2), np.zeros(4)), restarts=3, iters=50)
         assert est.value == 0.0 and est.residual == 0.0
 
+    def test_block_agrees_with_per_restart_oracle(self):
+        # 3 iterations leave most random starts unconverged, 500 settle
+        # them: the ConvergenceError cases must match as well as the values
+        rng = np.random.default_rng(15)
+        tensors = [random_fully_symmetric(rng, order, d)
+                   for order in (2, 4) for d in (2, 3) for _ in range(3)]
+        tensors += [psd_counterexample_tensor(), Tensor((3, 3), np.zeros(9))]
+        outcomes = set()
+        for k, t in enumerate(tensors):
+            for iters in (3, 500):
+                try:
+                    want = oracles.z_eigen_max(t, restarts=8, iters=iters, seed=k)
+                except ConvergenceError:
+                    with pytest.raises(ConvergenceError):
+                        z_eigen_max(t, restarts=8, iters=iters, seed=k)
+                    outcomes.add("error")
+                    continue
+                got = z_eigen_max(t, restarts=8, iters=iters, seed=k)
+                assert got.value == pytest.approx(want.value, rel=1e-12)
+                outcomes.add("value")
+        assert outcomes == {"error", "value"}
+
+    def test_block_starts_are_successive_draws(self):
+        # the seeded starts of the per-restart loop, unchanged
+        for seed, restarts, d in [(0, 100, 3), (7, 5, 2), (2019, 20, 4)]:
+            block = np.random.default_rng(seed).standard_normal((restarts, d))
+            rng = np.random.default_rng(seed)
+            rows = np.stack([rng.standard_normal(d) for _ in range(restarts)])
+            assert np.array_equal(block, rows)
+
+    @pytest.mark.parametrize("entries", [[0.0, 1e154, 1e154, 0.0], [1.7e308] * 4])
+    def test_overflow_is_numerical_error(self, entries):
+        # a step norm (1e154) or the shift (1.7e308) overflows: refused,
+        # not warned about
+        with pytest.raises(NumericalError, match="power iteration"):
+            z_eigen_max(Tensor((2, 2), entries), restarts=2, iters=50)
+
 
 class TestBatchedSpectra:
     def test_sym_eigvals_matches_sym_eig(self):
@@ -375,16 +416,21 @@ def square_matrices(draw, n):
     return a
 
 
+short_z_eigen_max = partial(z_eigen_max, restarts=3, iters=30)
+
+
 @st.composite
 def spectral_calls(draw):
     """(function, argument) of one call to a spectral function on a small
     input built from ENTRIES: a matrix or stack with n <= 4, or a cubic
     tensor of order <= 4, E-symmetric (from a symmetric unfolding) or
-    not."""
+    not, or fully symmetric for a short ``z_eigen_max``."""
     fn = draw(st.sampled_from(
         [sym_eig, sym_eigvals, top_singular_values, e_eigenvalues, e_evd,
-         e_spectral_norm, gen_spectral_norm]
+         e_spectral_norm, gen_spectral_norm, short_z_eigen_max]
     ))
+    if fn is short_z_eigen_max:
+        return fn, draw(fully_symmetric_tensors())
     if fn is sym_eig:
         return fn, draw(square_matrices(draw(st.integers(1, 4))))
     if fn is sym_eigvals:
@@ -406,10 +452,26 @@ def spectral_calls(draw):
                       draw(st.lists(ENTRIES, min_size=size, max_size=size)))
 
 
+@st.composite
+def fully_symmetric_tensors(draw):
+    """A cubic tensor of order 2 or 4 from ENTRIES: one entry for each
+    multiset of indices, copied to each of its orderings."""
+    order = 2 * draw(st.integers(1, 2))
+    d = draw(st.integers(1, 4 if order == 2 else 3))
+    arr = np.zeros((d,) * order)
+    for idx in combinations_with_replacement(range(d), order):
+        value = draw(ENTRIES)
+        for perm in set(permutations(idx)):
+            arr[perm] = value
+    return Tensor.from_array(arr)
+
+
 def result_arrays(result):
     """Every number a spectral function returned, as arrays."""
     if isinstance(result, (float, np.ndarray)):
         return [np.asarray(result)]
+    if isinstance(result, ZEigenEstimate):
+        return [np.array([result.value, result.residual]), result.vector]
     if isinstance(result, EinsteinEVD):
         return [result.u.data, result.diag.data, result.values]
     return [result.values, result.vectors]
@@ -420,6 +482,8 @@ def result_arrays(result):
 @example(call=(sym_eigvals, np.full((1, 3, 3), 8.9e307)))
 @example(call=(top_singular_values, np.full((1, 3, 3), 8.9e307)))
 @example(call=(e_spectral_norm, Tensor((3, 3), np.full(9, 8.9e307))))
+@example(call=(short_z_eigen_max, Tensor((2, 2), [0.0, 1e154, 1e154, 0.0])))
+@example(call=(short_z_eigen_max, Tensor((2, 2), [1.7e308] * 4)))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_spectral_functions_return_finite_values_or_raise(call):
     # warnings are errors here, so a numpy overflow warning fails too

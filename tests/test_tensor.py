@@ -206,6 +206,9 @@ class TestSymmetryPredicates:
         assert is_fully_symmetric(s)
         assert not is_fully_symmetric(random_tensor(rng, (3, 3, 3, 3)))
 
+    def test_overflowing_full_symmetry_defect_is_refused(self):
+        # 1.7e308 - (-1.7e308) overflows to inf: not symmetric, no warning
+        assert not is_fully_symmetric(Tensor((2, 2), [0.0, 1.7e308, -1.7e308, 0.0]))
 
     def test_rows_match_scalar_check(self):
         rng = np.random.default_rng(40)
@@ -290,9 +293,22 @@ class TestApplyPower:
             apply_power(s, x), rel=1e-12
         )
 
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_block_rows_match_per_vector_calls(self, order):
+        rng = np.random.default_rng(17 + order)
+        s = random_fully_symmetric(rng, order, 3)
+        block = rng.standard_normal((5, 3))
+        got = apply_power_map(s, block)
+        assert got.shape == (5, 3)
+        for x, row in zip(block, got):
+            assert np.allclose(row, apply_power_map(s, x), rtol=1e-13, atol=0.0)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             apply_power(identity_tensor(1, 3), np.ones(4))
+        for bad in (np.ones((2, 4)), np.ones((2, 2, 3))):
+            with pytest.raises(ShapeError):
+                apply_power_map(identity_tensor(1, 3), bad)
 
 
 class TestHadamard:
