@@ -26,7 +26,7 @@ import numpy as np
 from .algebra import matricize, matricize_rows, unmatricize
 from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
 from .spectral import (
-    e_eigenvalues, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
+    _psd_spectrum, _trace, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
 )
 from .tensor import Tensor, _fmt, e_symmetric_rows
 
@@ -57,9 +57,6 @@ __all__ = [
 # Theorem names a report or an experiment may request; "auto" picks
 # "even" when it applies and "general" otherwise
 THEOREMS = ("auto", "even", "general", "intrinsic")
-
-# E-PSD ordering checks accept eigenvalues down to -PSD_TOL times the norm
-PSD_TOL = 1e-10
 
 
 class _Law:
@@ -294,29 +291,29 @@ def uniform_bound_L(model: SumModel, theorem: str = "auto") -> float:
     return max(best, 0.0)
 
 
-def _gram(rows: np.ndarray, factor: float) -> np.ndarray:
-    """factor * rows^T rows, exactly symmetric; overflow is a NumericalError."""
+def _gram(model: SumModel, rows: np.ndarray, k: int) -> Tensor:
+    """The law's scale times R^T R, exactly symmetric, as an order-2k
+    tensor, where R is ``rows`` reshaped to d**k columns; overflow is a
+    NumericalError.  This sums the expected squares of the summands:
+    per subsample draw, the mean of the n population squares times
+    (n/s)^2, summed over the s draws, is n/s times their sum."""
+    rows = rows.reshape(-1, model.dim**k)
     with np.errstate(over="ignore", invalid="ignore"):
         gram = rows.T @ rows
-        gram = factor * ((gram + gram.T) / 2.0)
+        gram = model.law.scale(len(model.stack)) * ((gram + gram.T) / 2.0)
     if not np.isfinite(gram).all():
         raise NumericalError("variance statistic overflowed to a non-finite value")
-    return gram
+    return unmatricize(gram, 2 * k, model.dim)
 
 
 def einstein_second_moment(model: SumModel) -> Tensor:
     """Exact sum over summands of E(X_k * X_k) under the Einstein square.
 
-    A pairwise-symmetric X has X * X = X * X^T, so the sum is one Gram
-    product of the side-by-side unfoldings H = [X_1 ... X_K]: H H^T.
-    The columns of H are the length-d**m rows of the reshaped stack.
+    A pairwise-symmetric X has X * X = X * X^T, so the sum is the outer
+    Gram product of ``variance_general``.
     """
     resolve_theorem(model, "even")
-    n = model.dim ** model.split
-    # per subsample draw: the mean of the n population squares times
-    # (n/s)^2, summed over the s draws, is n/s times their sum
-    gram = _gram(model.stack.reshape(-1, n), model.law.scale(len(model.stack)))
-    return unmatricize(gram, model.order, model.dim)
+    return _gram(model, model.stack, model.split)
 
 
 def variance_even(model: SumModel) -> float:
@@ -352,14 +349,10 @@ def variance_general(model: SumModel) -> GeneralVariance:
     V^T V for the stacked V = [F_1; ...; F_K]: two Gram products.
     """
     order, d, m = model.order, model.dim, model.split
-    factor = model.law.scale(len(model.stack))
     # the columns of H are the length-d**m rows of the reshaped stack
-    outer = _gram(model.stack.reshape(-1, d**m), factor)
-    unfoldings = matricize_rows(model.stack, order, d)
-    inner = _gram(unfoldings.reshape(-1, d ** (order - m)), factor)
     return GeneralVariance(
-        outer=unmatricize(outer, 2 * m, d),
-        inner=unmatricize(inner, 2 * (order - m), d),
+        outer=_gram(model, model.stack, m),
+        inner=_gram(model, matricize_rows(model.stack, order, d), order - m),
     )
 
 
@@ -504,22 +497,12 @@ class BernsteinReport:
         return tail_bound(t, self.nu, self.L, self.tail_factor)
 
 
-def _trace(matrix: np.ndarray, label: str) -> float:
-    """The trace of ``matrix``; NumericalError naming ``label`` on overflow."""
-    with np.errstate(over="ignore"):
-        trace = float(np.trace(matrix))
-    if not math.isfinite(trace):
-        raise NumericalError(f"the trace of the {label} overflowed")
-    return trace
-
-
 def _check_e_psd(t: Tensor, problem: str, scale=None) -> np.ndarray:
-    """The E-spectrum of ``t``, which must be E-PSD: eigenvalues down to
-    -PSD_TOL times the norm of the spectrum ``scale`` (by default that of
-    ``t``) pass; a lower one is a DomainError that states ``problem``."""
-    values = e_eigenvalues(t)
-    scale = values if scale is None else scale
-    if values[-1] < -PSD_TOL * max(scale[0], -scale[-1], 1.0):
+    """The E-spectrum of ``t``, which must be E-PSD by the rule of
+    ``spectral._psd_spectrum`` with the spectrum ``scale`` (by default that
+    of ``t``); a lower eigenvalue is a DomainError that states ``problem``."""
+    values, tol = _psd_spectrum(t, scale)
+    if values[-1] < -tol:
         raise DomainError(f"{problem} (min eigenvalue {values[-1]:.3e})")
     return values
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .algebra import hermitian_dilation, matricize, matricize_general, unmatricize
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
-from .tensor import (
-    Tensor, apply_power_map, is_e_symmetric, is_fully_symmetric, symmetry_defects
-)
+from .tensor import Tensor, apply_power_map, is_e_symmetric, is_fully_symmetric
 
 __all__ = [
     "EigenDecomposition",
@@ -36,6 +34,10 @@ __all__ = [
     "is_e_pd",
     "z_eigen_max",
 ]
+
+# E-PSD judgements accept eigenvalues down to -PSD_TOL times the norm of
+# the spectrum, or -PSD_TOL for a spectrum of norm below 1
+PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,9 @@ def sym_eig(mat) -> EigenDecomposition:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NumericalError("matrix has non-finite entries")
-    n = m.shape[0]
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if float(symmetry_defects(m[None])[0]) > 1e-12 * max(1.0, scale) * n:
+    with np.errstate(over="ignore"):  # an overflowing defect is inf: refused
+        defect = np.abs(m - m.T).max(initial=0.0)
+    if defect > 1e-12 * max(1.0, np.abs(m).max(initial=0.0)) * m.shape[0]:
         raise SymmetryError("matrix is not symmetric within tolerance")
     try:
         values, vectors = np.linalg.eigh(_symmetric_part(m))
@@ -181,10 +183,20 @@ def e_spectral_norm(t: Tensor) -> float:
 def e_trace(t: Tensor) -> float:
     """Sum of the paired-diagonal entries a[i...i...].
 
-    Cheaper than summing the spectrum, with which it agrees.
+    Cheaper than summing the spectrum, with which it agrees.  An
+    overflow is a NumericalError.
     """
     _require_e_symmetric(t)
-    return float(np.trace(matricize(t)))
+    return _trace(matricize(t), "unfolding")
+
+
+def _trace(matrix: np.ndarray, label: str) -> float:
+    """The trace of ``matrix``; NumericalError naming ``label`` on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = float(np.trace(matrix))
+    if not np.isfinite(trace):
+        raise NumericalError(f"the trace of the {label} overflowed")
+    return trace
 
 
 def gen_spectral_norm(t: Tensor) -> float:
@@ -198,16 +210,25 @@ def gen_spectral_norm(t: Tensor) -> float:
     return float(sym_eig(h).values[0])
 
 
-def is_e_psd(t: Tensor, tol: float = 1e-10) -> bool:
-    """True when every Einstein eigenvalue is at least -tol."""
+def _psd_spectrum(t: Tensor, scale=None) -> tuple:
+    """The E-spectrum of ``t`` and the tolerance of the E-PSD rule on it:
+    PSD_TOL times max(1, norm of the spectrum ``scale``), by default that
+    of ``t``.  ``t`` is E-PSD when no eigenvalue is below -tolerance."""
     values = e_eigenvalues(t)
-    return float(values[-1]) >= -tol
+    scale = values if scale is None else scale
+    return values, PSD_TOL * max(scale[0], -scale[-1], 1.0)
+
+
+def is_e_psd(t: Tensor) -> bool:
+    """True when no Einstein eigenvalue is below -``_psd_spectrum``'s tolerance."""
+    values, tol = _psd_spectrum(t)
+    return bool(values[-1] >= -tol)
 
 
 def is_e_pd(t: Tensor) -> bool:
-    """True when every Einstein eigenvalue exceeds 1e-10."""
-    values = e_eigenvalues(t)
-    return float(values[-1]) > 1e-10
+    """True when every Einstein eigenvalue exceeds ``_psd_spectrum``'s tolerance."""
+    values, tol = _psd_spectrum(t)
+    return bool(values[-1] > tol)
 
 
 @dataclass(frozen=True)

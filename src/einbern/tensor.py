@@ -93,11 +93,7 @@ class Tensor:
         return float(np.abs(self.data).max()) if self.size else 0.0
 
     def allclose(self, other: "Tensor", tol: float = DEFAULT_TOL) -> bool:
-        if self.shape != other.shape:
-            return False
-        diff = float(np.abs(self.data - other.data).max())
-        scale = max(self.max_abs(), other.max_abs())
-        return diff <= tol * scale
+        return self.shape == other.shape and bool(_close(self.data, other.data, tol))
 
     def _binary(self, other, op):
         if not isinstance(other, Tensor):
@@ -175,17 +171,19 @@ def _require_even_cubic(t: Tensor) -> int:
     return t.cubic_dim
 
 
+def _paired_unfolding(t: Tensor) -> np.ndarray:
+    """The square paired-mode unfolding of an even-order cubic tensor."""
+    half = _require_even_cubic(t) ** (t.order // 2)
+    return t.data.reshape((half, half), order="F")
+
+
 def transpose_even(t: Tensor) -> Tensor:
     """Swap the first half of the modes with the second half.
 
     Acts on even-order cubic tensors; equals the matrix transpose of the
     paired-mode unfolding.
     """
-    d = _require_even_cubic(t)
-    if t.order == 0:
-        return t
-    half = d ** (t.order // 2)
-    mat = t.data.reshape((half, half), order="F")
+    mat = _paired_unfolding(t)
     return Tensor(t.shape, mat.T.reshape(-1, order="F"), copy=False)
 
 
@@ -201,23 +199,22 @@ def identity_tensor(m: int, d: int) -> Tensor:
     return Tensor((d,) * (2 * m), eye.reshape(-1, order="F"), copy=False)
 
 
-def symmetry_defects(mats: np.ndarray) -> np.ndarray:
-    """max|M - M^T| of each matrix M of a (B, n, n) stack.  A defect that
-    overflows is inf, which no tolerance accepts."""
-    with np.errstate(over="ignore"):
-        diff = mats - np.swapaxes(mats, -1, -2)
-    np.abs(diff, out=diff)
-    return diff.max(axis=(-2, -1))
+def _close(a, b, tol: float, axis=None, scale=None):
+    """Whether max|a - b| <= tol * max(max|a|, max|b|), reduced over
+    ``axis`` (all axes by default).  A caller that knows that maximum, as
+    when b rearranges the entries of a, passes it as ``scale``.  A
+    non-finite entry, or a difference that overflows, reads False, and no
+    numpy warning is raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scale is None:
+            scale = np.maximum(np.abs(a).max(axis=axis), np.abs(b).max(axis=axis))
+        return (np.abs(a - b).max(axis=axis) <= tol * scale) & np.isfinite(scale)
 
 
 def is_e_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """True when the tensor equals its paired-mode transpose within tol."""
-    d = _require_even_cubic(t)
-    if t.order == 0:
-        return True
-    half = d ** (t.order // 2)
-    mat = t.data.reshape((1, half, half), order="F")
-    return float(symmetry_defects(mat)[0]) <= tol * t.max_abs()
+    mat = _paired_unfolding(t)
+    return bool(_close(mat, mat.T, tol, scale=t.max_abs()))
 
 
 def e_symmetric_rows(rows) -> np.ndarray:
@@ -227,34 +224,24 @@ def e_symmetric_rows(rows) -> np.ndarray:
     n = math.isqrt(rows.shape[-1])
     if rows.ndim != 2 or n * n != rows.shape[1]:
         raise ShapeError(f"rows of shape {rows.shape} do not unfold to square matrices")
-    defects = symmetry_defects(rows.reshape(len(rows), n, n))
-    return defects <= DEFAULT_TOL * np.abs(rows).max(axis=1)
+    mats = rows.reshape(len(rows), n, n)
+    return _close(mats, mats.swapaxes(1, 2), DEFAULT_TOL, axis=(1, 2),
+                  scale=np.abs(rows).max(axis=1))
 
 
 def is_diagonal(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """True when all off-diagonal entries vanish within tol (scaled)."""
-    d = _require_even_cubic(t)
-    if t.order == 0:
-        return True
-    half = d ** (t.order // 2)
-    mat = t.data.reshape((half, half), order="F").copy()
-    np.fill_diagonal(mat, 0.0)
-    return float(np.abs(mat).max()) <= tol * t.max_abs()
+    mat = _paired_unfolding(t)
+    return bool(_close(mat, np.diag(np.diag(mat)), tol))
 
 
 def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """True when entries are invariant under every mode permutation."""
     if not t.is_cubic:
         raise ShapeError(f"shape {t.shape} is not cubic")
-    if t.order < 2:
-        return True
-    arr = t.to_array()
-    scale = t.max_abs()
-    with np.errstate(over="ignore"):  # an overflowing defect is inf: refused
-        for perm in permutations(range(t.order)):
-            if float(np.abs(arr - arr.transpose(perm)).max()) > tol * scale:
-                return False
-    return True
+    arr, scale = t.to_array(), t.max_abs()
+    return all(_close(arr, arr.transpose(perm), tol, scale=scale)
+               for perm in permutations(range(t.order)))
 
 
 def outer_power(x, m: int) -> Tensor:

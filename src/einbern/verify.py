@@ -382,7 +382,7 @@ def _prop_epsd_sampled_psd(seed, cases):
         d = int(rng.integers(2, 4))
         a = tensor.random_tensor(rng, (d,) * n)
         gram = algebra.gen_product_outer(a, a)
-        if not spectral.is_e_psd(gram, 1e-10 * max(1.0, gram.max_abs())):
+        if not spectral.is_e_psd(gram):
             return PropertyResult(
                 "epsd-implies-sampled-psd", False, "self-product not E-PSD"
             )

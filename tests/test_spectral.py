@@ -265,6 +265,16 @@ class TestPsdPredicates:
     def test_identity_is_epd(self):
         assert is_e_pd(identity_tensor(2, 2))
 
+    def test_psd_tolerance_scales_with_the_spectrum_norm(self):
+        # PSD_TOL (1e-10) times max(1, norm of the spectrum): 1e-7 at norm
+        # 1e3, 1e-10 at norm 0.5
+        for top, tol in ((1e3, 1e-7), (0.5, 1e-10)):
+            psd, not_psd, pd, not_pd = (
+                Tensor((2, 2), [top, 0.0, 0.0, low])
+                for low in (-0.99 * tol, -1.01 * tol, 1.01 * tol, 0.99 * tol))
+            assert is_e_psd(psd) and not is_e_psd(not_psd)
+            assert is_e_pd(pd) and not is_e_pd(not_pd)
+
     def test_epsd_implies_sampled_psd(self):
         rng = np.random.default_rng(11)
         a = random_tensor(rng, (3, 3, 3))
@@ -427,7 +437,8 @@ def spectral_calls(draw):
     not, or fully symmetric for a short ``z_eigen_max``."""
     fn = draw(st.sampled_from(
         [sym_eig, sym_eigvals, top_singular_values, e_eigenvalues, e_evd,
-         e_spectral_norm, gen_spectral_norm, short_z_eigen_max]
+         e_spectral_norm, e_trace, is_e_psd, is_e_pd, gen_spectral_norm,
+         short_z_eigen_max]
     ))
     if fn is short_z_eigen_max:
         return fn, draw(fully_symmetric_tensors())
@@ -468,7 +479,7 @@ def fully_symmetric_tensors(draw):
 
 def result_arrays(result):
     """Every number a spectral function returned, as arrays."""
-    if isinstance(result, (float, np.ndarray)):
+    if isinstance(result, (bool, float, np.ndarray)):
         return [np.asarray(result)]
     if isinstance(result, ZEigenEstimate):
         return [np.array([result.value, result.residual]), result.vector]
@@ -484,6 +495,9 @@ def result_arrays(result):
 @example(call=(e_spectral_norm, Tensor((3, 3), np.full(9, 8.9e307))))
 @example(call=(short_z_eigen_max, Tensor((2, 2), [0.0, 1e154, 1e154, 0.0])))
 @example(call=(short_z_eigen_max, Tensor((2, 2), [1.7e308] * 4)))
+@example(call=(short_z_eigen_max, Tensor((2, 2), [math.inf, 0.0, 0.0, 1.0])))
+@example(call=(short_z_eigen_max, Tensor((2, 2), [math.nan, 0.0, 0.0, 1.0])))
+@example(call=(e_trace, Tensor((2, 2), [1.7e308, 0.0, 0.0, 1.7e308])))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_spectral_functions_return_finite_values_or_raise(call):
     # warnings are errors here, so a numpy overflow warning fails too
@@ -494,3 +508,9 @@ def test_spectral_functions_return_finite_values_or_raise(call):
         return
     for values in result_arrays(result):
         assert np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_z_eigen_max_refuses_non_finite_entries_as_asymmetric(bad):
+    with pytest.raises(SymmetryError, match="not fully symmetric"):
+        z_eigen_max(Tensor((2, 2), [bad, 0.0, 0.0, 1.0]), restarts=3, iters=30)

@@ -1,10 +1,11 @@
 """Tensor storage, indexing, and elementary constructions."""
 
 import math
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einbern import (
@@ -33,6 +34,7 @@ from einbern import (
     random_tensor,
     transpose_even,
 )
+from test_spectral import ENTRIES
 
 
 class TestLinearize:
@@ -227,6 +229,100 @@ class TestSymmetryPredicates:
     def test_rows_must_unfold_square(self):
         with pytest.raises(ShapeError):
             e_symmetric_rows(np.zeros((2, 8)))
+
+
+# ENTRIES, which reach the float limits, and the non-finite values
+CLOSENESS_ENTRIES = st.one_of(ENTRIES, st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def cubic_tensors(draw, order, d):
+    """A tensor of the given order and dimension from CLOSENESS_ENTRIES:
+    any, fully symmetric (one entry per multiset of indices), or, for an
+    even order, one whose square unfolding is diagonal."""
+    kind = draw(st.sampled_from(["any", "symmetric", "diagonal"]))
+    arr = np.zeros((d,) * order)
+    if kind == "any":
+        arr[...] = np.reshape(
+            draw(st.lists(CLOSENESS_ENTRIES, min_size=arr.size, max_size=arr.size)),
+            arr.shape)
+    elif kind == "diagonal" and order % 2 == 0:
+        half = d ** (order // 2)
+        mat = np.diag(draw(st.lists(CLOSENESS_ENTRIES, min_size=half, max_size=half)))
+        return Tensor((d,) * order, mat.reshape(-1, order="F"))
+    else:
+        for idx in combinations_with_replacement(range(d), order):
+            value = draw(CLOSENESS_ENTRIES)
+            for perm in set(permutations(idx)):
+                arr[perm] = value
+    return Tensor.from_array(arr)
+
+
+@st.composite
+def closeness_cases(draw):
+    """(a, b, tol): a small cubic tensor, a second one of its shape for
+    ``allclose`` (a itself, a with one entry replaced, or a fresh one),
+    and a tolerance."""
+    order, d = draw(st.integers(0, 4)), draw(st.integers(1, 3))
+    a = draw(cubic_tensors(order, d))
+    how = draw(st.sampled_from(["same", "one entry", "fresh"]))
+    if how == "fresh":
+        b = draw(cubic_tensors(order, d))
+    else:
+        data = a.data.copy()
+        if how == "one entry":
+            data[draw(st.integers(0, a.size - 1))] = draw(CLOSENESS_ENTRIES)
+        b = Tensor(a.shape, data)
+    return a, b, draw(st.sampled_from([0.0, DEFAULT_TOL, 1e-3]))
+
+
+def closeness_rule(pairs, entries, tol: float) -> bool:
+    """max|x - y| over the pairs <= tol * max|v| over the entries, in
+    Python floats (a difference that overflows is inf)."""
+    diff = max((abs(float(x) - float(y)) for x, y in pairs), default=0.0)
+    return diff <= tol * max(abs(float(v)) for v in entries)
+
+
+def paired_square(t: Tensor) -> np.ndarray:
+    half = t.cubic_dim ** (t.order // 2)
+    return t.data.reshape((half, half), order="F")
+
+
+@given(case=closeness_cases())
+@example(case=(Tensor((2, 2), [math.nan, 0.0, 0.0, 1.0]),) * 2 + (DEFAULT_TOL,))
+@example(case=(Tensor((2, 2), [1.0, math.inf, 0.0, 1.0]),) * 2 + (DEFAULT_TOL,))
+@example(case=(Tensor((2, 2), [math.inf, 0.0, 0.0, 1.0]),) * 2 + (DEFAULT_TOL,))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_closeness_predicates_follow_one_rule(case):
+    # warnings are errors here, so a numpy warning fails too
+    a, b, tol = case
+    arr = a.to_array()
+    checks = [
+        ("allclose", a.allclose(b, tol), zip(a.data, b.data),
+         np.concatenate([a.data, b.data])),
+        ("is_fully_symmetric", is_fully_symmetric(a, tol),
+         [(arr[idx], arr[tuple(idx[p] for p in perm)])
+          for perm in permutations(range(a.order)) for idx in np.ndindex(arr.shape)],
+         a.data),
+    ]
+    if a.order % 2 == 0:
+        mat = paired_square(a)
+        mirrored = list(zip(mat.ravel(), mat.T.ravel()))
+        off_diagonal = [(mat[i, j], 0.0) for i, j in np.ndindex(mat.shape) if i != j]
+        rows = e_symmetric_rows(a.data[None])
+        assert rows.dtype == bool and rows.shape == (1,)
+        checks += [
+            ("is_e_symmetric", is_e_symmetric(a, tol), mirrored, a.data),
+            ("e_symmetric_rows", bool(rows[0]), mirrored, a.data),
+            ("is_diagonal", is_diagonal(a, tol), off_diagonal, a.data),
+        ]
+    for name, got, pairs, entries in checks:
+        assert type(got) is bool, name
+        if not np.isfinite(entries).all():
+            assert got is False, name
+        else:
+            rule_tol = DEFAULT_TOL if name == "e_symmetric_rows" else tol
+            assert got == closeness_rule(pairs, entries, rule_tol), name
 
 
 class TestOuterPower:
