@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, _finite
 
 __all__ = [
     "einstein_product",
@@ -62,8 +62,7 @@ def einstein_product(a: Tensor, b: Tensor, num_contracted=None) -> Tensor:
     left, mid, right = _split_shapes(a, b, num_contracted)
     a2 = a.data.reshape((math.prod(left), math.prod(mid)), order="F")
     b2 = b.data.reshape((math.prod(mid), math.prod(right)), order="F")
-    out = a2 @ b2
-    return Tensor(left + right, out.reshape(-1, order="F"), copy=False)
+    return _finite(left + right, lambda: (a2 @ b2).reshape(-1, order="F"))
 
 
 def einstein_product_reference(a: Tensor, b: Tensor, num_contracted=None) -> Tensor:
@@ -102,12 +101,7 @@ def gen_product_outer(a: Tensor, b: Tensor) -> Tensor:
     m = (a.order + 1) // 2
     fa = matricize_general(a)
     fb = fa if b is a else matricize_general(b)
-    gram = fa @ fb.T
-    if b is a:
-        # the two accumulation orders of G[i,j] and G[j,i] may round
-        # differently; the true result is symmetric, so enforce it
-        gram = (gram + gram.T) / 2.0
-    return unmatricize(gram, 2 * m, d)
+    return _gram_tensor(fa, fb.T, b is a, 2 * m, d)
 
 
 def gen_product_inner(a: Tensor, b: Tensor) -> Tensor:
@@ -120,10 +114,21 @@ def gen_product_inner(a: Tensor, b: Tensor) -> Tensor:
     m = (a.order + 1) // 2
     fa = matricize_general(a)
     fb = fa if b is a else matricize_general(b)
-    gram = fa.T @ fb
-    if b is a:
-        gram = (gram + gram.T) / 2.0
-    return unmatricize(gram, 2 * (a.order - m), d)
+    return _gram_tensor(fa.T, fb, b is a, 2 * (a.order - m), d)
+
+
+def _gram_tensor(x, y, self_product: bool, order: int, d: int) -> Tensor:
+    """The matrix product x @ y folded into an order-``order`` cubic
+    tensor; a self-product, y = x.T, is symmetrized exactly."""
+    def compute():
+        gram = x @ y
+        if self_product:
+            # the two accumulation orders of G[i,j] and G[j,i] may round
+            # differently; the true result is symmetric, so enforce it
+            gram = (gram + gram.T) / 2.0
+        return gram.reshape(-1, order="F")
+
+    return _finite((d,) * order, compute)
 
 
 def gen_product_outer_reference(a: Tensor, b: Tensor) -> Tensor:

@@ -16,7 +16,13 @@ import numpy as np
 
 from .algebra import hermitian_dilation, matricize, matricize_general, unmatricize
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
-from .tensor import Tensor, apply_power_map, is_e_symmetric, is_fully_symmetric
+from .tensor import (
+    Tensor,
+    _require_finite_result,
+    apply_power_map,
+    is_e_symmetric,
+    is_fully_symmetric,
+)
 
 __all__ = [
     "EigenDecomposition",
@@ -143,14 +149,6 @@ def _symmetric_part(m: np.ndarray) -> np.ndarray:
         )
     sym /= 2.0
     return sym
-
-
-def _require_finite_result(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, which a solver returned; a non-finite one is a
-    NumericalError naming ``what`` overflowed."""
-    if not np.isfinite(values).all():
-        raise NumericalError(f"{what} overflowed to a non-finite value")
-    return values
 
 
 def _require_e_symmetric(t: Tensor) -> None:

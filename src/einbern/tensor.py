@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 
 # Entrywise comparisons are absolute after scaling by the largest entry
 # magnitude; contractions at desk scale keep rounding well below this.
@@ -100,7 +100,7 @@ class Tensor:
             return NotImplemented
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-        return Tensor(self.shape, op(self.data, other.data), copy=False)
+        return _finite(self.shape, lambda: op(self.data, other.data))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -114,12 +114,12 @@ class Tensor:
     def __mul__(self, scalar):
         if isinstance(scalar, Tensor):
             return NotImplemented
-        return Tensor(self.shape, self.data * float(scalar), copy=False)
+        return _finite(self.shape, lambda: self.data * float(scalar))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return Tensor(self.shape, self.data / float(scalar), copy=False)
+        return _finite(self.shape, lambda: self.data / float(scalar))
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
@@ -132,6 +132,23 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, max_abs={self.max_abs():.3g})"
+
+
+def _require_finite_result(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, which a solver or a product computed; a non-finite one
+    is a NumericalError naming ``what`` overflowed."""
+    if not np.isfinite(values).all():
+        raise NumericalError(f"{what} overflowed to a non-finite value")
+    return values
+
+
+def _finite(shape, compute) -> Tensor:
+    """The tensor whose flat entries ``compute()`` returns, computed with
+    numpy's float warnings off; a non-finite entry raises NumericalError.
+    Tensor arithmetic and the tensor products build their results here."""
+    with np.errstate(all="ignore"):
+        flat = compute()
+    return Tensor(shape, _require_finite_result(flat, "tensor arithmetic"), copy=False)
 
 
 def linearize(indices, shape) -> int:
@@ -236,12 +253,21 @@ def is_diagonal(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
-    """True when entries are invariant under every mode permutation."""
-    if not t.is_cubic:
-        raise ShapeError(f"shape {t.shape} is not cubic")
-    arr, scale = t.to_array(), t.max_abs()
-    return all(_close(arr, arr.transpose(perm), tol, scale=scale)
-               for perm in permutations(range(t.order)))
+    """True when entries are invariant under every mode permutation.
+
+    The entries a mode permutation can exchange are those whose sorted
+    multi-indices agree, so each such orbit is judged by its range: with
+    rounding monotone, max - min is the largest difference between any
+    entry and a permuted one, without the N! permutations.
+    """
+    d = t.cubic_dim
+    index = np.indices(t.shape).reshape(t.order, t.size)
+    keys = d ** np.arange(t.order) @ np.sort(index, axis=0)
+    rank = np.argsort(keys)
+    keys, values = keys[rank], t.to_array().reshape(-1)[rank]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return bool(_close(np.maximum.reduceat(values, starts),
+                       np.minimum.reduceat(values, starts), tol, scale=t.max_abs()))
 
 
 def outer_power(x, m: int) -> Tensor:
@@ -303,7 +329,7 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two tensors of identical shape."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return Tensor(a.shape, a.data * b.data, copy=False)
+    return _finite(a.shape, lambda: a.data * b.data)
 
 
 def psd_counterexample_tensor() -> Tensor:

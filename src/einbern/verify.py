@@ -1,10 +1,10 @@
 """Seeded property suites behind the `verify` command.
 
-Each property draws its own generator from the suite seed, computes a
-worst-case error over the requested number of cases, and reports it
-against the tolerance it must meet.  The contraction identities always
-pit the fast reshape-multiply path against naive nested-loop references
-so that the two routes stay independent witnesses.
+Each property draws its own generator from the suite seed, yields its
+errors over the requested number of cases, and ``_property`` reports the
+worst against the tolerance it must meet.  The contraction identities
+always pit the fast reshape-multiply path against naive nested-loop
+references so that the two routes stay independent witnesses.
 """
 
 from __future__ import annotations
@@ -27,28 +27,67 @@ class PropertyResult:
     detail: str
 
 
-def _result(name: str, err: float, tol: float, extra: str = "") -> PropertyResult:
-    note = f"max err {err:.3e} (tol {tol:.1e})"
-    if extra:
-        note += f", {extra}"
-    return PropertyResult(name, err <= tol, note)
+class _Failed(Exception):
+    """Raised by a property body to fail; the message is the detail."""
 
 
-def _rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.default_rng([seed, salt])
+SUITES = {"algebra": [], "spectral": [], "bounds": []}
+
+
+def _max_error(errors, tol: float) -> str:
+    """The largest error the generator yields, against tol, and the note it
+    returns.  A non-finite error fails, where max() would drop a NaN."""
+    worst = 0.0
+    while True:
+        try:
+            err = next(errors)
+        except StopIteration as stop:
+            note = stop.value
+            break
+        if not math.isfinite(err):
+            raise _Failed(f"max err {err:.3e} (tol {tol:.1e})")
+        worst = max(worst, err)
+    detail = f"max err {worst:.3e} (tol {tol:.1e})"
+    if note:
+        detail += f", {note}"
+    if worst > tol:
+        raise _Failed(detail)
+    return detail
+
+
+def _property(suite: str, name: str, salt: int | None = None,
+              tol: float | None = None):
+    """Register ``body(rng, seed, cases)`` in ``SUITES[suite]`` as a
+    ``(seed, cases) -> PropertyResult``; rng is ``default_rng([seed,
+    salt])``, None without a salt.  With ``tol`` the body yields errors,
+    else returns its detail; either fails by raising ``_Failed(detail)``."""
+    def register(body):
+        def run(seed, cases):
+            rng = None if salt is None else np.random.default_rng([seed, salt])
+            try:
+                detail = body(rng, seed, cases)
+                if tol is not None:
+                    detail = _max_error(detail, tol)
+            except _Failed as failed:
+                return PropertyResult(name, False, str(failed))
+            return PropertyResult(name, True, detail)
+
+        SUITES[suite].append(run)
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # algebra suite
 
 
-def _prop_linearize_bijective(seed, cases):
+@_property("algebra", "linearize-bijective", salt=1)
+def _prop_linearize_bijective(rng, seed, cases):
     shapes = [(d,) * n for n in range(1, 7) for d in range(1, 5)]
-    rng = _rng(seed, 1)
     for _ in range(min(cases, 40)):
         n = int(rng.integers(1, 5))
         shapes.append(tuple(int(rng.integers(1, 5)) for _ in range(n)))
-    checked = 0
     for shape in shapes:
         size = math.prod(shape)
         seen = np.zeros(size, dtype=bool)
@@ -57,42 +96,30 @@ def _prop_linearize_bijective(seed, cases):
             if seen[flat - 1] or tensor.delinearize(flat, shape) != tuple(
                 i + 1 for i in idx0
             ):
-                return PropertyResult(
-                    "linearize-bijective", False, f"collision in shape {shape}"
-                )
+                raise _Failed(f"collision in shape {shape}")
             seen[flat - 1] = True
         if not seen.all():
-            return PropertyResult(
-                "linearize-bijective", False, f"range gap in shape {shape}"
-            )
-        checked += 1
-    return PropertyResult(
-        "linearize-bijective", True, f"{checked} shapes fully enumerated"
-    )
+            raise _Failed(f"range gap in shape {shape}")
+    return f"{len(shapes)} shapes fully enumerated"
 
 
-def _prop_transpose_involution(seed, cases):
-    rng = _rng(seed, 2)
+@_property("algebra", "transpose-involution", salt=2)
+def _prop_transpose_involution(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
         a = tensor.random_tensor(rng, (d,) * (2 * m))
         if tensor.transpose_even(tensor.transpose_even(a)) != a:
-            return PropertyResult(
-                "transpose-involution", False, "double transpose changed bits"
-            )
+            raise _Failed("double transpose changed bits")
         if not np.array_equal(
             algebra.matricize(tensor.transpose_even(a)), algebra.matricize(a).T
         ):
-            return PropertyResult(
-                "transpose-involution", False, "unfolding transpose mismatch"
-            )
-    return PropertyResult("transpose-involution", True, f"{cases} cases, bit-exact")
+            raise _Failed("unfolding transpose mismatch")
+    return f"{cases} cases, bit-exact"
 
 
-def _prop_outer_kron(seed, cases):
-    rng = _rng(seed, 3)
-    worst = 0.0
+@_property("algebra", "outer-vs-kron-power", salt=3, tol=1e-13)
+def _prop_outer_kron(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 4))
         d = int(rng.integers(2, 5))
@@ -100,13 +127,11 @@ def _prop_outer_kron(seed, cases):
         diff = np.abs(
             tensor.outer_power(x, m).data - tensor.kron_power(x, m)
         ).max()
-        worst = max(worst, float(diff))
-    return _result("outer-vs-kron-power", worst, 1e-13)
+        yield float(diff)
 
 
-def _prop_apply_power_quadratic(seed, cases):
-    rng = _rng(seed, 4)
-    worst = 0.0
+@_property("algebra", "form-vs-unfolding-quadratic", salt=4, tol=1e-12)
+def _prop_apply_power_quadratic(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
@@ -116,13 +141,11 @@ def _prop_apply_power_quadratic(seed, cases):
         vec = tensor.kron_power(x, m)
         oracle = float(vec @ algebra.matricize(a) @ vec)
         scale = max(1.0, abs(oracle))
-        worst = max(worst, abs(direct - oracle) / scale)
-    return _result("form-vs-unfolding-quadratic", worst, 1e-12)
+        yield abs(direct - oracle) / scale
 
 
-def _prop_homomorphism(seed, cases):
-    rng = _rng(seed, 5)
-    worst = 0.0
+@_property("algebra", "unfolding-homomorphism", salt=5, tol=1e-12)
+def _prop_homomorphism(rng, seed, cases):
     for m, d in iproduct((1, 2), (2, 3)):
         for _ in range(cases):
             a = tensor.random_tensor(rng, (d,) * (2 * m))
@@ -131,13 +154,11 @@ def _prop_homomorphism(seed, cases):
             lhs = algebra.matricize(prod)
             rhs = algebra.matricize(a) @ algebra.matricize(b)
             tol_scale = max(1.0, a.max_abs() * b.max_abs() * d**m)
-            worst = max(worst, float(np.abs(lhs - rhs).max()) / tol_scale)
-    return _result("unfolding-homomorphism", worst, 1e-12)
+            yield float(np.abs(lhs - rhs).max()) / tol_scale
 
 
-def _prop_product_transpose(seed, cases):
-    rng = _rng(seed, 6)
-    worst = 0.0
+@_property("algebra", "product-transpose-reversal", salt=6, tol=1e-12)
+def _prop_product_transpose(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
@@ -148,25 +169,21 @@ def _prop_product_transpose(seed, cases):
             tensor.transpose_even(b), tensor.transpose_even(a)
         )
         scale = max(1.0, lhs.max_abs())
-        worst = max(worst, float(np.abs(lhs.data - rhs.data).max()) / scale)
-    return _result("product-transpose-reversal", worst, 1e-12)
+        yield float(np.abs(lhs.data - rhs.data).max()) / scale
 
 
-def _prop_identity_neutral(seed, cases):
-    rng = _rng(seed, 7)
-    worst = 0.0
+@_property("algebra", "identity-neutral", salt=7, tol=1e-14)
+def _prop_identity_neutral(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
         a = tensor.random_tensor(rng, (d,) * (2 * m))
         out = algebra.einstein_product(tensor.identity_tensor(m, d), a)
-        worst = max(worst, float(np.abs(out.data - a.data).max()))
-    return _result("identity-neutral", worst, 1e-14)
+        yield float(np.abs(out.data - a.data).max())
 
 
-def _prop_gen_product_identities(seed, cases):
-    rng = _rng(seed, 8)
-    worst = 0.0
+@_property("algebra", "gen-product-unfolding-identities", salt=8, tol=1e-12)
+def _prop_gen_product_identities(rng, seed, cases):
     per_combo = max(1, cases // 10)
     for n, d in iproduct((1, 2, 3, 4, 5), (2, 3)):
         for _ in range(per_combo):
@@ -177,13 +194,12 @@ def _prop_gen_product_identities(seed, cases):
             scale = max(1.0, a.max_abs() ** 2 * d**n)
             err_outer = np.abs(algebra.matricize(outer) - fbar @ fbar.T).max()
             err_inner = np.abs(algebra.matricize(inner) - fbar.T @ fbar).max()
-            worst = max(worst, float(err_outer) / scale, float(err_inner) / scale)
-    return _result("gen-product-unfolding-identities", worst, 1e-12)
+            yield float(err_outer) / scale
+            yield float(err_inner) / scale
 
 
-def _prop_gen_product_even_reduction(seed, cases):
-    rng = _rng(seed, 9)
-    worst = 0.0
+@_property("algebra", "gen-product-even-reduction", salt=9, tol=1e-12)
+def _prop_gen_product_even_reduction(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
@@ -194,44 +210,35 @@ def _prop_gen_product_even_reduction(seed, cases):
         lhs2 = algebra.gen_product_inner(a, b)
         rhs2 = algebra.einstein_product(tensor.transpose_even(a), b)
         scale = max(1.0, a.max_abs() * b.max_abs() * d**m)
-        worst = max(
-            worst,
-            float(np.abs(lhs1.data - rhs1.data).max()) / scale,
-            float(np.abs(lhs2.data - rhs2.data).max()) / scale,
-        )
-    return _result("gen-product-even-reduction", worst, 1e-12)
+        yield float(np.abs(lhs1.data - rhs1.data).max()) / scale
+        yield float(np.abs(lhs2.data - rhs2.data).max()) / scale
 
 
-def _prop_gram_symmetry(seed, cases):
-    rng = _rng(seed, 10)
+@_property("algebra", "self-product-exactly-symmetric", salt=10)
+def _prop_gram_symmetry(rng, seed, cases):
     for _ in range(cases):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(2, 4))
         a = tensor.random_tensor(rng, (d,) * n)
         if not tensor.is_e_symmetric(algebra.gen_product_outer(a, a), 0.0):
-            return PropertyResult(
-                "self-product-exactly-symmetric", False, "asymmetric Gram tensor"
-            )
-    return PropertyResult(
-        "self-product-exactly-symmetric", True, f"{cases} cases, tolerance zero"
-    )
+            raise _Failed("asymmetric Gram tensor")
+    return f"{cases} cases, tolerance zero"
 
 
-def _prop_matricize_roundtrip(seed, cases):
-    rng = _rng(seed, 11)
+@_property("algebra", "matricize-roundtrip", salt=11)
+def _prop_matricize_roundtrip(rng, seed, cases):
     for _ in range(min(cases, 50)):
         n = int(rng.integers(1, 6))
         d = int(rng.integers(2, 4))
         a = tensor.random_tensor(rng, (d,) * n)
         back = algebra.unmatricize(algebra.matricize_general(a), n, d)
         if back != a:
-            return PropertyResult("matricize-roundtrip", False, "bits changed")
-    return PropertyResult("matricize-roundtrip", True, "round-trips bit-exact")
+            raise _Failed("bits changed")
+    return "round-trips bit-exact"
 
 
-def _prop_trace_frobenius(seed, cases):
-    rng = _rng(seed, 12)
-    worst = 0.0
+@_property("algebra", "gram-trace-is-frobenius", salt=12, tol=1e-12)
+def _prop_trace_frobenius(rng, seed, cases):
     for _ in range(cases):
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 4))
@@ -240,17 +247,16 @@ def _prop_trace_frobenius(seed, cases):
         tr_outer = float(np.trace(algebra.matricize(algebra.gen_product_outer(a, a))))
         tr_inner = float(np.trace(algebra.matricize(algebra.gen_product_inner(a, a))))
         scale = max(1.0, frob)
-        worst = max(worst, abs(tr_outer - frob) / scale, abs(tr_inner - frob) / scale)
-    return _result("gram-trace-is-frobenius", worst, 1e-12)
+        yield abs(tr_outer - frob) / scale
+        yield abs(tr_inner - frob) / scale
 
 
 # ---------------------------------------------------------------------------
 # spectral suite
 
 
-def _prop_sym_eig_contract(seed, cases):
-    rng = _rng(seed, 20)
-    worst = 0.0
+@_property("spectral", "eigensolver-contract", salt=20, tol=1e-12)
+def _prop_sym_eig_contract(rng, seed, cases):
     for _ in range(cases):
         n = int(rng.integers(2, 13))
         m = rng.standard_normal((n, n))
@@ -259,13 +265,12 @@ def _prop_sym_eig_contract(seed, cases):
         scale = max(1.0, float(np.abs(m).max())) * n
         recon = np.abs(dec.vectors @ np.diag(dec.values) @ dec.vectors.T - m).max()
         ortho = np.abs(dec.vectors.T @ dec.vectors - np.eye(n)).max()
-        worst = max(worst, float(recon) / scale, float(ortho))
-    return _result("eigensolver-contract", worst, 1e-12)
+        yield float(recon) / scale
+        yield float(ortho)
 
 
-def _prop_evd_reconstruction(seed, cases):
-    rng = _rng(seed, 21)
-    worst = 0.0
+@_property("spectral", "evd-reconstruction", salt=21, tol=1e-10)
+def _prop_evd_reconstruction(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
@@ -275,25 +280,21 @@ def _prop_evd_reconstruction(seed, cases):
             algebra.einstein_product(dec.u, dec.diag), tensor.transpose_even(dec.u)
         )
         err = float(np.abs(recon.data - a.data).max())
-        worst = max(worst, err / (a.max_abs() * d**m))
-    return _result("evd-reconstruction", worst, 1e-10)
+        yield err / (a.max_abs() * d**m)
 
 
-def _prop_trace_spectrum(seed, cases):
-    rng = _rng(seed, 22)
-    worst = 0.0
+@_property("spectral", "trace-vs-spectrum-sum", salt=22, tol=1e-10)
+def _prop_trace_spectrum(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
         a = tensor.random_e_symmetric(rng, m, d)
         diff = abs(spectral.e_trace(a) - float(spectral.e_eigenvalues(a).sum()))
-        worst = max(worst, diff / max(1.0, a.max_abs() * d**m))
-    return _result("trace-vs-spectrum-sum", worst, 1e-10)
+        yield diff / max(1.0, a.max_abs() * d**m)
 
 
-def _prop_evd_hadamard_square(seed, cases):
-    rng = _rng(seed, 23)
-    worst = 0.0
+@_property("spectral", "square-via-evd-hadamard", salt=23, tol=1e-10)
+def _prop_evd_hadamard_square(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
@@ -305,13 +306,11 @@ def _prop_evd_hadamard_square(seed, cases):
             tensor.transpose_even(dec.u),
         )
         err = float(np.abs(square.data - recon.data).max())
-        worst = max(worst, err / max(1.0, square.max_abs() * d**m))
-    return _result("square-via-evd-hadamard", worst, 1e-10)
+        yield err / max(1.0, square.max_abs() * d**m)
 
 
-def _prop_dilation_norm(seed, cases):
-    rng = _rng(seed, 24)
-    worst = 0.0
+@_property("spectral", "dilation-top-eigenvalue-is-norm", salt=24, tol=1e-10)
+def _prop_dilation_norm(rng, seed, cases):
     for _ in range(cases):
         r = int(rng.integers(1, 6))
         c = int(rng.integers(1, 6))
@@ -319,13 +318,11 @@ def _prop_dilation_norm(seed, cases):
         top = float(spectral.sym_eig(algebra.hermitian_dilation(b)).values[0])
         gram = float(spectral.sym_eig(b.T @ b).values[0])
         sigma = math.sqrt(max(gram, 0.0))
-        worst = max(worst, abs(top - sigma) / max(1.0, sigma))
-    return _result("dilation-top-eigenvalue-is-norm", worst, 1e-10)
+        yield abs(top - sigma) / max(1.0, sigma)
 
 
-def _prop_norm_chain(seed, cases):
-    rng = _rng(seed, 25)
-    worst = 0.0
+@_property("spectral", "spectral-norm-chain", salt=25, tol=1e-10)
+def _prop_norm_chain(rng, seed, cases):
     per_combo = max(1, cases // 6)
     for n, d in iproduct((1, 3, 4), (2, 3)):
         for _ in range(per_combo):
@@ -340,58 +337,47 @@ def _prop_norm_chain(seed, cases):
             e3 = math.sqrt(float(spectral.sym_eig(fbar.T @ fbar).values[0]))
             e4 = spectral.gen_spectral_norm(a)
             scale = max(1.0, e4)
-            worst = max(
-                worst,
-                abs(e1 - e4) / scale,
-                abs(e2 - e4) / scale,
-                abs(e3 - e4) / scale,
-            )
-    return _result("spectral-norm-chain", worst, 1e-10)
+            for e in (e1, e2, e3):
+                yield abs(e - e4) / scale
 
 
-def _prop_gen_norm_even_symmetric(seed, cases):
-    rng = _rng(seed, 26)
-    worst = 0.0
+@_property("spectral", "gen-norm-matches-even-norm", salt=26, tol=1e-10)
+def _prop_gen_norm_even_symmetric(rng, seed, cases):
     for _ in range(cases):
         m = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
         a = tensor.random_e_symmetric(rng, m, d)
         diff = abs(spectral.gen_spectral_norm(a) - spectral.e_spectral_norm(a))
-        worst = max(worst, diff / max(1.0, spectral.e_spectral_norm(a)))
-    return _result("gen-norm-matches-even-norm", worst, 1e-10)
+        yield diff / max(1.0, spectral.e_spectral_norm(a))
 
 
-def _prop_z_lower_bound(seed, cases):
-    rng = _rng(seed, 27)
-    worst = -math.inf
+@_property("spectral", "z-estimate-below-e-max", salt=27, tol=1e-8)
+def _prop_z_lower_bound(rng, seed, cases):
+    # the error is how far the estimate rises above the E-maximum; an
+    # estimate below it counts as zero error
     count = min(cases, 50)
     for k in range(count):
         a = tensor.random_fully_symmetric(rng, 4, 3)
         est = spectral.z_eigen_max(a, restarts=6, iters=1000, seed=seed + k)
         lam_e = float(spectral.e_eigenvalues(a)[0])
-        worst = max(worst, est.value - lam_e)
-    return _result("z-estimate-below-e-max", max(worst, 0.0), 1e-8,
-                   extra=f"{count} tensors")
+        yield est.value - lam_e
+    return f"{count} tensors"
 
 
-def _prop_epsd_sampled_psd(seed, cases):
-    rng = _rng(seed, 28)
-    worst = 0.0
+@_property("spectral", "epsd-implies-sampled-psd", salt=28, tol=1e-10)
+def _prop_epsd_sampled_psd(rng, seed, cases):
     for _ in range(min(cases, 10)):
         n = int(rng.integers(2, 5))
         d = int(rng.integers(2, 4))
         a = tensor.random_tensor(rng, (d,) * n)
         gram = algebra.gen_product_outer(a, a)
         if not spectral.is_e_psd(gram):
-            return PropertyResult(
-                "epsd-implies-sampled-psd", False, "self-product not E-PSD"
-            )
+            raise _Failed("self-product not E-PSD")
         dd = gram.cubic_dim
         for _ in range(1000):
             x = rng.standard_normal(dd)
             x /= np.linalg.norm(x)
-            worst = max(worst, -tensor.apply_power(gram, x))
-    return _result("epsd-implies-sampled-psd", worst, 1e-10)
+            yield -tensor.apply_power(gram, x)
 
 
 def worked_example(seed: int = 0) -> list:
@@ -434,17 +420,20 @@ def worked_example(seed: int = 0) -> list:
     ]
 
 
-def _prop_counterexample(seed, cases):
+@_property("spectral", "psd-counterexample")
+def _prop_counterexample(rng, seed, cases):
     failed = [f.name for f in worked_example(seed) if not f.passed]
-    detail = f"failed: {', '.join(failed)}" if failed else "worked example reproduced"
-    return PropertyResult("psd-counterexample", not failed, detail)
+    if failed:
+        raise _Failed(f"failed: {', '.join(failed)}")
+    return "worked example reproduced"
 
 
 # ---------------------------------------------------------------------------
 # bounds suite
 
 
-def _prop_formula_spot_values(seed, cases):
+@_property("bounds", "closed-form-spot-values", tol=1e-15)
+def _prop_formula_spot_values(rng, seed, cases):
     checks = [
         (bounds.expectation_bound(1, 0, 1, 2), math.sqrt(2 * math.log(2))),
         (
@@ -459,31 +448,30 @@ def _prop_formula_spot_values(seed, cases):
         (bounds.tail_bound(0, 1, 1, 4).raw, 4.0),
         (bounds.tail_bound(1, 0, 0, 4).raw, 0.0),
     ]
-    worst = max(abs(got - want) for got, want in checks)
-    return _result("closed-form-spot-values", worst, 1e-15)
+    for got, want in checks:
+        yield abs(got - want)
 
 
-def _prop_tail_monotonicity(seed, cases):
+@_property("bounds", "tail-monotonicity")
+def _prop_tail_monotonicity(rng, seed, cases):
+    # the comparisons are written so that a NaN bound fails them
     ts = np.linspace(0.0, 5.0, 26)
     for nu, L in [(0.5, 0.0), (1.0, 1.0), (2.0, 0.3)]:
         raws = [bounds.tail_bound(float(t), nu, L, 4.0).raw for t in ts]
-        if any(b >= a for a, b in zip(raws, raws[1:])):
-            return PropertyResult("tail-monotonicity", False, "not decreasing in t")
+        if not all(b < a for a, b in zip(raws, raws[1:])):
+            raise _Failed("not decreasing in t")
     for t in (0.5, 1.0, 2.0):
         by_nu = [bounds.tail_bound(t, nu, 0.5, 4.0).raw for nu in (0.1, 0.5, 1.0, 2.0)]
         by_l = [bounds.tail_bound(t, 0.5, L, 4.0).raw for L in (0.0, 0.5, 1.0, 2.0)]
-        if any(b <= a for a, b in zip(by_nu, by_nu[1:])) or any(
-            b <= a for a, b in zip(by_l, by_l[1:])
+        if not all(b > a for a, b in zip(by_nu, by_nu[1:])) or not all(
+            b > a for a, b in zip(by_l, by_l[1:])
         ):
-            return PropertyResult(
-                "tail-monotonicity", False, "not increasing in nu or L"
-            )
-    return PropertyResult("tail-monotonicity", True, "grids ordered as required")
+            raise _Failed("not increasing in nu or L")
+    return "grids ordered as required"
 
 
-def _prop_matrix_reduction(seed, cases):
-    rng = _rng(seed, 40)
-    worst = 0.0
+@_property("bounds", "matrix-case-reduction", salt=40, tol=1e-12)
+def _prop_matrix_reduction(rng, seed, cases):
     for _ in range(min(cases, 25)):
         d = int(rng.integers(2, 5))
         comps = [tensor.random_tensor(rng, (d, d)) for _ in range(5)]
@@ -496,12 +484,9 @@ def _prop_matrix_reduction(seed, cases):
         nu_mat = max(
             float(np.linalg.eigvalsh(m1)[-1]), float(np.linalg.eigvalsh(m2)[-1])
         )
-        worst = max(
-            worst,
-            abs(report.L - l_mat) / max(1.0, l_mat),
-            abs(report.nu - nu_mat) / max(1.0, nu_mat),
-            abs(report.dim_factor - 2 * d),
-        )
+        yield abs(report.L - l_mat) / max(1.0, l_mat)
+        yield abs(report.nu - nu_mat) / max(1.0, nu_mat)
+        yield abs(report.dim_factor - 2 * d)
         sym_comps = [
             (c + tensor.transpose_even(c)) / 2.0 for c in comps
         ]
@@ -512,18 +497,13 @@ def _prop_matrix_reduction(seed, cases):
         nu_sym = float(
             np.abs(np.linalg.eigvalsh(sum(m @ m for m in sym_mats))).max()
         )
-        worst = max(
-            worst,
-            abs(even.L - l_sym) / max(1.0, l_sym),
-            abs(even.nu - nu_sym) / max(1.0, nu_sym),
-            abs(even.dim_factor - d),
-        )
-    return _result("matrix-case-reduction", worst, 1e-12)
+        yield abs(even.L - l_sym) / max(1.0, l_sym)
+        yield abs(even.nu - nu_sym) / max(1.0, nu_sym)
+        yield abs(even.dim_factor - d)
 
 
-def _prop_variance_matricized(seed, cases):
-    rng = _rng(seed, 41)
-    worst = 0.0
+@_property("bounds", "variance-vs-matricized", salt=41, tol=1e-12)
+def _prop_variance_matricized(rng, seed, cases):
     for _ in range(min(cases, 25)):
         n = int(rng.integers(1, 5))
         d = int(rng.integers(2, 4))
@@ -537,13 +517,11 @@ def _prop_variance_matricized(seed, cases):
             float(np.abs(np.linalg.eigvalsh(m1)).max()),
             float(np.abs(np.linalg.eigvalsh(m2)).max()),
         )
-        worst = max(worst, abs(gv.nu - nu_mat) / max(1.0, nu_mat))
-    return _result("variance-vs-matricized", worst, 1e-12)
+        yield abs(gv.nu - nu_mat) / max(1.0, nu_mat)
 
 
-def _prop_intrinsic_identity(seed, cases):
-    rng = _rng(seed, 42)
-    worst = 0.0
+@_property("bounds", "intrinsic-dimension-identity", salt=42, tol=1e-12)
+def _prop_intrinsic_identity(rng, seed, cases):
     for _ in range(min(cases, 100)):
         n = int(rng.integers(1, 4))
         d = int(rng.integers(2, 4))
@@ -560,52 +538,44 @@ def _prop_intrinsic_identity(seed, cases):
         dv_np = float(np.trace(block) / np.abs(np.linalg.eigvalsh(block)).max())
         ambient = d**m + d ** (n - m)
         if report.dv > ambient + 1e-9:
-            return PropertyResult(
-                "intrinsic-dimension-identity", False, "exceeds ambient factor"
-            )
-        worst = max(worst, abs(report.dv - dv_np) / max(1.0, dv_np))
-    return _result("intrinsic-dimension-identity", worst, 1e-12)
+            raise _Failed("exceeds ambient factor")
+        yield abs(report.dv - dv_np) / max(1.0, dv_np)
 
 
-def _prop_intrinsic_vs_general(seed, cases):
-    rng = _rng(seed, 43)
+@_property("bounds", "intrinsic-vs-general-ratio", salt=43, tol=1e-12)
+def _prop_intrinsic_vs_general(rng, seed, cases):
     comps = [tensor.random_tensor(rng, (2, 2, 2)) for _ in range(5)]
     model = bounds.SumModel.rademacher(comps)
     gen = bounds.build_report(model, "general")
     intr = bounds.build_report(model, "intrinsic")
-    worst = 0.0
     for t in np.linspace(intr.tail_domain_min, intr.tail_domain_min + 4.0, 9):
         raw_gen = gen.tail(float(t)).raw
         raw_intr = intr.tail(float(t)).raw
         lhs = raw_intr * gen.dim_factor
         rhs = raw_gen * intr.tail_factor
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return _result("intrinsic-vs-general-ratio", worst, 1e-12)
+        yield abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _prop_centering_annihilation(seed, cases):
-    rng = _rng(seed, 44)
+@_property("bounds", "identical-population-centers-to-zero", salt=44, tol=1e-12)
+def _prop_centering_annihilation(rng, seed, cases):
     base = tensor.random_e_symmetric(rng, 1, 3)
     model = bounds.SumModel.subsample([base, base, base], sample_size=4)
-    L = bounds.uniform_bound_L(model)
-    nu = bounds.variance_even(model)
-    worst = max(abs(L), abs(nu))
-    return _result("identical-population-centers-to-zero", worst, 1e-12)
+    yield abs(bounds.uniform_bound_L(model))
+    yield abs(bounds.variance_even(model))
 
 
-def _prop_projector_variance(seed, cases):
-    rng = _rng(seed, 45)
+@_property("bounds", "projector-variance-linearity", salt=45, tol=1e-10)
+def _prop_projector_variance(rng, seed, cases):
     x = rng.standard_normal(3)
     x /= np.linalg.norm(x)
     proj = algebra.gen_product_outer(tensor.outer_power(x, 2), tensor.outer_power(x, 2))
     k = 7
     model = bounds.SumModel.rademacher([proj] * k)
-    worst = abs(bounds.variance_even(model) - k)
-    return _result("projector-variance-linearity", worst, 1e-10)
+    yield abs(bounds.variance_even(model) - k)
 
 
-def _prop_subsample_scaling(seed, cases):
-    rng = _rng(seed, 46)
+@_property("bounds", "subsample-exact-enumeration", salt=46, tol=1e-12)
+def _prop_subsample_scaling(rng, seed, cases):
     pop = [tensor.random_e_symmetric(rng, 1, 3) for _ in range(4)]
     model = bounds.SumModel.subsample(pop, sample_size=2)
     n, s = 4, 2
@@ -618,58 +588,8 @@ def _prop_subsample_scaling(seed, cases):
     l_direct = (n / s) * max(
         float(np.linalg.eigvalsh(algebra.matricize(c))[-1]) for c in centered
     )
-    worst = max(
-        abs(bounds.variance_even(model) - nu_direct) / max(1.0, nu_direct),
-        abs(bounds.uniform_bound_L(model, "even") - l_direct) / max(1.0, l_direct),
-    )
-    return _result("subsample-exact-enumeration", worst, 1e-12)
-
-
-ALGEBRA_PROPS = [
-    _prop_linearize_bijective,
-    _prop_transpose_involution,
-    _prop_outer_kron,
-    _prop_apply_power_quadratic,
-    _prop_homomorphism,
-    _prop_product_transpose,
-    _prop_identity_neutral,
-    _prop_gen_product_identities,
-    _prop_gen_product_even_reduction,
-    _prop_gram_symmetry,
-    _prop_matricize_roundtrip,
-    _prop_trace_frobenius,
-]
-
-SPECTRAL_PROPS = [
-    _prop_sym_eig_contract,
-    _prop_evd_reconstruction,
-    _prop_trace_spectrum,
-    _prop_evd_hadamard_square,
-    _prop_dilation_norm,
-    _prop_norm_chain,
-    _prop_gen_norm_even_symmetric,
-    _prop_z_lower_bound,
-    _prop_epsd_sampled_psd,
-    _prop_counterexample,
-]
-
-BOUNDS_PROPS = [
-    _prop_formula_spot_values,
-    _prop_tail_monotonicity,
-    _prop_matrix_reduction,
-    _prop_variance_matricized,
-    _prop_intrinsic_identity,
-    _prop_intrinsic_vs_general,
-    _prop_centering_annihilation,
-    _prop_projector_variance,
-    _prop_subsample_scaling,
-]
-
-SUITES = {
-    "algebra": ALGEBRA_PROPS,
-    "spectral": SPECTRAL_PROPS,
-    "bounds": BOUNDS_PROPS,
-}
+    yield abs(bounds.variance_even(model) - nu_direct) / max(1.0, nu_direct)
+    yield abs(bounds.uniform_bound_L(model, "even") - l_direct) / max(1.0, l_direct)
 
 
 def suite_names() -> list:

@@ -8,13 +8,26 @@ its draws become weights here.  So the oracle shares neither
 The per-restart power iteration checks ``spectral.z_eigen_max``, which
 iterates every restart as one block.  It contracts with a loop of
 ``tensordot`` calls, so it shares no kernel with ``apply_power_map``.
+
+The full-symmetry check compares a tensor with each of its N! mode
+permutations; ``tensor.is_fully_symmetric`` judges each orbit of entries
+by its range instead.
 """
 
 import math
+from itertools import permutations
 
 import numpy as np
 
-from einbern import ConvergenceError, Rademacher, SumModel, Tensor, ZEigenEstimate
+from einbern import (
+    DEFAULT_TOL,
+    ConvergenceError,
+    Rademacher,
+    SumModel,
+    Tensor,
+    ZEigenEstimate,
+)
+from einbern.tensor import _close
 
 
 def weights(law, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -82,3 +95,11 @@ def z_eigen_max(t: Tensor, restarts: int = 100, iters: int = 1000,
             f"(best residual {best_residual:.3e})"
         )
     return best
+
+
+def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the tensor is close to each of its mode permutations, under
+    the one closeness rule."""
+    arr, scale = t.to_array(), t.max_abs()
+    return all(bool(_close(arr, arr.transpose(perm), tol, scale=scale))
+               for perm in permutations(range(t.order)))

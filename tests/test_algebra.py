@@ -1,9 +1,14 @@
 """Einstein products, generalized products, unfoldings, dilation."""
 
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from einbern import (
+    EinbernError,
     ShapeError,
     Tensor,
     einstein_product,
@@ -12,6 +17,7 @@ from einbern import (
     gen_product_inner_reference,
     gen_product_outer,
     gen_product_outer_reference,
+    hadamard,
     hermitian_dilation,
     identity_tensor,
     is_e_symmetric,
@@ -23,6 +29,7 @@ from einbern import (
     transpose_even,
     unmatricize,
 )
+from test_spectral import ENTRIES
 
 
 class TestEinsteinProduct:
@@ -233,3 +240,48 @@ def test_matricize_rows_matches_matricize_general(order):
     mats = matricize_rows(np.stack([t.data for t in tensors]), order, 3)
     for t, mat in zip(tensors, mats):
         assert np.array_equal(mat, matricize_general(t))
+
+
+@st.composite
+def product_calls(draw):
+    """(function, arguments) of one product or sum of two cubic tensors of
+    order <= 4 from ENTRIES, or of a tensor and a scalar from ENTRIES (0.0
+    among them, so division by zero is drawn)."""
+    fn = draw(st.sampled_from(
+        [einstein_product, gen_product_outer, gen_product_inner, hadamard,
+         operator.add, operator.sub, operator.mul, operator.truediv]
+    ))
+    order = 2 * draw(st.integers(1, 2)) if fn is einstein_product else draw(
+        st.integers(1, 4))
+    d = draw(st.integers(1, 3 if order <= 2 else 2))
+    size = d**order
+    a = Tensor((d,) * order, draw(st.lists(ENTRIES, min_size=size, max_size=size)))
+    if fn in (operator.mul, operator.truediv):
+        return fn, (a, draw(ENTRIES))
+    if fn in (gen_product_outer, gen_product_inner) and draw(st.booleans()):
+        return fn, (a, a)
+    return fn, (a, Tensor(a.shape, draw(st.lists(ENTRIES, min_size=size,
+                                                 max_size=size))))
+
+
+BIG = Tensor((2, 2), [1e200, -1e200, 1e200, 1e200])
+MAX = Tensor((2,), [1e308, 1e308])
+
+
+@given(call=product_calls())
+@example(call=(einstein_product, (BIG, BIG)))
+@example(call=(gen_product_outer, (BIG, BIG)))
+@example(call=(gen_product_inner, (BIG, BIG)))
+@example(call=(hadamard, (BIG, BIG)))
+@example(call=(operator.mul, (BIG, 1e200)))
+@example(call=(operator.add, (MAX, MAX)))
+@example(call=(operator.truediv, (BIG, 0.0)))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_products_return_finite_values_or_raise(call):
+    # warnings are errors here, so a numpy overflow warning fails too
+    fn, args = call
+    try:
+        result = fn(*args)
+    except EinbernError:
+        return
+    assert isinstance(result, Tensor) and np.isfinite(result.data).all()

@@ -34,6 +34,7 @@ from einbern import (
     random_tensor,
     transpose_even,
 )
+import oracles
 from test_spectral import ENTRIES
 
 
@@ -323,6 +324,29 @@ def test_closeness_predicates_follow_one_rule(case):
         else:
             rule_tol = DEFAULT_TOL if name == "e_symmetric_rows" else tol
             assert got == closeness_rule(pairs, entries, rule_tol), name
+
+
+@st.composite
+def near_symmetric_cases(draw):
+    """(t, tol): a cubic tensor of order <= 5 from ``cubic_tensors``, half
+    the time with one entry scaled by 1 + eps for an eps near the
+    tolerances, and a tolerance."""
+    order = draw(st.integers(0, 5))
+    t = draw(cubic_tensors(order, draw(st.integers(1, 3 if order <= 4 else 2))))
+    if draw(st.booleans()):
+        data = t.data.copy()
+        pos = draw(st.integers(0, t.size - 1))
+        eps = draw(st.sampled_from([1e-15, 1e-13, 1e-12, 1e-11, 1e-4]))
+        data[pos] = float(data[pos]) * (1.0 + eps)
+        t = Tensor(t.shape, data)
+    return t, draw(st.sampled_from([0.0, DEFAULT_TOL, 1e-3]))
+
+
+@given(case=near_symmetric_cases())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_full_symmetry_matches_the_permutation_oracle(case):
+    t, tol = case
+    assert is_fully_symmetric(t, tol) is oracles.is_fully_symmetric(t, tol)
 
 
 class TestOuterPower:

@@ -1,8 +1,11 @@
 """The worked example (paper Example 4.5) behind `example45` and `verify`."""
 
+import dataclasses
+import math
+
 import pytest
 
-from einbern import verify
+from einbern import bounds, spectral, verify
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2019])
@@ -27,3 +30,52 @@ def test_counterexample_property_fails_with_any_fact(monkeypatch):
         monkeypatch.setattr(verify, "worked_example", lambda seed, b=broken: b)
         result = verify._prop_counterexample(0, 1)
         assert not result.passed and fact.name in result.detail
+
+
+ALL_NAMES = [
+    "linearize-bijective", "transpose-involution", "outer-vs-kron-power",
+    "form-vs-unfolding-quadratic", "unfolding-homomorphism",
+    "product-transpose-reversal", "identity-neutral",
+    "gen-product-unfolding-identities", "gen-product-even-reduction",
+    "self-product-exactly-symmetric", "matricize-roundtrip",
+    "gram-trace-is-frobenius",
+    "closed-form-spot-values", "tail-monotonicity", "matrix-case-reduction",
+    "variance-vs-matricized", "intrinsic-dimension-identity",
+    "intrinsic-vs-general-ratio", "identical-population-centers-to-zero",
+    "projector-variance-linearity", "subsample-exact-enumeration",
+    "eigensolver-contract", "evd-reconstruction", "trace-vs-spectrum-sum",
+    "square-via-evd-hadamard", "dilation-top-eigenvalue-is-norm",
+    "spectral-norm-chain", "gen-norm-matches-even-norm",
+    "z-estimate-below-e-max", "epsd-implies-sampled-psd", "psd-counterexample",
+]
+
+
+def test_suite_all_runs_every_property_in_order():
+    results = verify.run_suite("all", seed=0, cases=1)
+    assert [r.name for r in results] == ALL_NAMES
+    assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_error_fails_its_property(monkeypatch, bad):
+    # max(0.0, nan) is 0.0, so a fold by max() alone would pass a NaN
+    monkeypatch.setattr(spectral, "e_trace", lambda t: bad)
+    result = verify._prop_trace_spectrum(0, 5)
+    assert result.name == "trace-vs-spectrum-sum"
+    assert not result.passed and result.detail == f"max err {bad} (tol 1.0e-10)"
+
+
+def test_nan_tail_bound_fails_monotonicity(monkeypatch):
+    monkeypatch.setattr(bounds, "tail_bound",
+                        lambda *args: bounds.TailBound(math.nan, math.nan))
+    result = verify._prop_tail_monotonicity(0, 1)
+    assert result.name == "tail-monotonicity" and not result.passed
+
+
+def test_nan_intrinsic_dimension_fails_identity(monkeypatch):
+    real = bounds.intrinsic_report
+    monkeypatch.setattr(bounds, "intrinsic_report",
+                        lambda *args: dataclasses.replace(real(*args), dv=math.nan))
+    result = verify._prop_intrinsic_identity(0, 5)
+    assert result.name == "intrinsic-dimension-identity"
+    assert not result.passed and "nan" in result.detail
