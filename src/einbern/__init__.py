@@ -94,7 +94,6 @@ from .spectral import (
     top_singular_values,
     z_eigen_max,
 )
-from .streams import trial_rng
 from .tensor import (
     DEFAULT_TOL,
     Tensor,

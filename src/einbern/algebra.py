@@ -65,6 +65,7 @@ def einstein_product(a: Tensor, b: Tensor, num_contracted=None) -> Tensor:
     return _finite(left + right, lambda: (a2 @ b2).reshape(-1, order="F"))
 
 
+@np.errstate(all="ignore")  # _finite refuses a result that overflowed
 def einstein_product_reference(a: Tensor, b: Tensor, num_contracted=None) -> Tensor:
     """Nested-loop evaluation of the same contraction; test oracle only."""
     left, mid, right = _split_shapes(a, b, num_contracted)
@@ -77,7 +78,7 @@ def einstein_product_reference(a: Tensor, b: Tensor, num_contracted=None) -> Ten
             for kk in np.ndindex(*mid):
                 acc += arr_a[li + kk] * arr_b[kk + rj]
             out[li + rj] = acc
-    return Tensor.from_array(out)
+    return _finite(left + right, lambda: out.reshape(-1, order="F"))
 
 
 def _require_same_cubic(a: Tensor, b: Tensor) -> int:
@@ -131,6 +132,7 @@ def _gram_tensor(x, y, self_product: bool, order: int, d: int) -> Tensor:
     return _finite((d,) * order, compute)
 
 
+@np.errstate(all="ignore")  # _finite refuses a result that overflowed
 def gen_product_outer_reference(a: Tensor, b: Tensor) -> Tensor:
     """Nested-loop evaluation of the trailing-mode product; oracle only."""
     d = _require_same_cubic(a, b)
@@ -147,9 +149,10 @@ def gen_product_outer_reference(a: Tensor, b: Tensor) -> Tensor:
             for kk in np.ndindex(*mid):
                 acc += arr_a[ii + kk] * arr_b[jj + kk]
             out[ii + jj] = acc
-    return Tensor.from_array(out)
+    return _finite(free + free, lambda: out.reshape(-1, order="F"))
 
 
+@np.errstate(all="ignore")  # _finite refuses a result that overflowed
 def gen_product_inner_reference(a: Tensor, b: Tensor) -> Tensor:
     """Nested-loop evaluation of the leading-mode product; oracle only."""
     d = _require_same_cubic(a, b)
@@ -166,7 +169,7 @@ def gen_product_inner_reference(a: Tensor, b: Tensor) -> Tensor:
             for ii in np.ndindex(*mid):
                 acc += arr_a[ii + kk] * arr_b[ii + ll]
             out[kk + ll] = acc
-    return Tensor.from_array(out)
+    return _finite(free + free, lambda: out.reshape(-1, order="F"))
 
 
 def matricize_general(t: Tensor) -> np.ndarray:

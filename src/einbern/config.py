@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import permutations
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .bounds import Subsample, SumModel, _stack_components
 from .errors import ModelError
 from .montecarlo import ExperimentConfig
 from .streams import uniform
-from .tensor import Tensor, linearize, read_tensor_text
+from .tensor import Tensor, _orbit_means, linearize, read_tensor_text
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -137,13 +136,11 @@ def _generate_components(spec: dict) -> tuple:
         raise ModelError(f"unknown generate kind {kind!r}")
     if kind == "e_symmetric" and order % 2:
         raise ModelError("e_symmetric generation needs an even order")
-    # past order 64 any dim > 1 is over budget; the cap keeps the
-    # integer power small.  A fully symmetric tensor sums all N! mode
-    # permutations of one, so each permutation counts against the budget.
-    perms = math.factorial(min(order, 64)) if kind == "fully_symmetric" else 1
-    if count * perms * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
+    # past order 64 any dim > 1 is over budget; the cap keeps the power small
+    if count * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
         raise _over_budget(f"generating {count} order-{order} dim-{dim} {kind} tensors")
-    terms = max(2, perms)  # a draw spans 2*scale; a symmetric entry sums N! draws
+    # a draw spans 2*scale; a symmetric entry sums an orbit of up to N! draws
+    terms = max(2, math.factorial(min(order, 64))) if kind == "fully_symmetric" else 2
     if not 0.0 <= terms * scale < math.inf:
         raise ModelError(f"scale must be >= 0 with {terms}*scale finite, got {scale}")
     shape = (dim,) * order
@@ -153,10 +150,7 @@ def _generate_components(spec: dict) -> tuple:
         mats = stack.reshape(count, dim ** (order // 2), -1)
         stack = ((mats + mats.transpose(0, 2, 1)) / 2.0).reshape(count, -1)
     elif kind == "fully_symmetric":
-        base = stack.reshape(count, *shape)
-        acc = sum(base.transpose(0, *p) for p in permutations(range(1, order + 1)))
-        # mode 1 fastest: each tensor's axes reversed, then a row-major flatten
-        stack = (acc / perms).transpose(0, *range(order, 0, -1)).reshape(count, -1)
+        stack = _orbit_means(stack, order, dim)
     return shape, stack
 
 

@@ -3,7 +3,7 @@
 Trials run in fixed-size chunks, and each decision has one owner:
 
 - ``streams.TrialDraws`` owns what a trial draws: a chunk's block holds
-  exactly the draws of each trial's own stream ``trial_rng(seed, i)``,
+  exactly the draws of each trial's own stream ``default_rng([seed, i])``,
   derived without building its generator;
 - the model's law owns what the draws mean: ``law.rows`` turns them
   into weight rows;

@@ -264,9 +264,7 @@ def z_eigen_max(
     """
     if t.order < 2 or t.order % 2:
         raise ShapeError(f"order {t.order} must be even and at least 2")
-    if not t.is_cubic:
-        raise ShapeError(f"shape {t.shape} is not cubic")
-    if not is_fully_symmetric(t):
+    if not is_fully_symmetric(t):  # a ShapeError when t is not cubic
         raise SymmetryError("tensor is not fully symmetric within tolerance")
 
     x = np.random.default_rng(seed).standard_normal((max(1, restarts), t.cubic_dim))

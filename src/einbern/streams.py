@@ -16,7 +16,7 @@ the oracle the tests check them against:
   hi, size)``: 53 bits of each output, ``lo + (hi - lo) * u``;
 - ``TrialDraws(seed, bound, count).block(start, stop)`` holds, for every
   trial index i in [start, stop), the draws of
-  ``trial_rng(seed, i).integers(0, bound, size=count)``: 32-bit halves
+  ``default_rng([seed, i]).integers(0, bound, size=count)``: 32-bit halves
   of the outputs, low half first, each mapped to ``(u * bound) >> 32``
   (Lemire 2019, "Fast Random Integer Generation in an Interval").
   A half whose low product word is below ``2^32 mod bound`` is redrawn
@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-__all__ = ["TrialDraws", "trial_rng", "uniform"]
+__all__ = ["TrialDraws", "uniform"]
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -55,12 +55,6 @@ _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 # a stream of at most _DIRECT outputs is one row, a longer one rows x
 # columns; tiles of at most _TILE outputs bound every temporary
 _DIRECT, _TILE = 64, 1 << 13
-
-
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The generator whose draws trial ``trial`` of a run seeded ``seed``
-    makes; ``TrialDraws`` derives the same draws without building it."""
-    return np.random.default_rng([int(seed), int(trial)])
 
 
 def _words(n: int) -> list:
@@ -241,7 +235,7 @@ def uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
 
 
 class TrialDraws:
-    """The draws ``trial_rng(seed, i).integers(0, bound, size=count)``
+    """The draws ``default_rng([seed, i]).integers(0, bound, size=count)``
     for blocks of trial indices i."""
 
     def __init__(self, seed: int, bound: int, count: int):
@@ -254,7 +248,7 @@ class TrialDraws:
 
     def block(self, start: int, stop: int) -> np.ndarray:
         """Draws of trials start..stop-1: a (stop - start, count) int64
-        array whose row r holds the draws of ``trial_rng(seed, start + r)``."""
+        array whose row r is drawn by ``default_rng([seed, start + r])``."""
         if not 0 <= start <= stop <= 1 << 32:
             # a larger index is two entropy words, not one
             raise ValueError(f"trial indices must be below 2^32, got {start}..{stop}")

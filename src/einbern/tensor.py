@@ -252,20 +252,35 @@ def is_diagonal(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     return bool(_close(mat, np.diag(np.diag(mat)), tol))
 
 
-def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
-    """True when entries are invariant under every mode permutation.
+def _orbits(order: int, d: int) -> tuple:
+    """The flat positions of an order-``order``, dimension-``d`` cubic
+    tensor grouped by sorted multi-index into the mode permutations' orbits,
+    and each orbit's start; either flattening order gives the same orbits."""
+    weights = d ** np.arange(order)
+    keys = np.arange(d**order)  # positions, keyed in place tile by tile to bound memory
+    for tile in np.split(keys, range(1 << 16, keys.size, 1 << 16)):
+        tile[:] = weights @ np.sort(tile // weights[:, None] % d, axis=0)
+    positions = np.argsort(keys, kind="stable")
+    return positions, np.flatnonzero(np.diff(keys[positions], prepend=-1))
 
-    The entries a mode permutation can exchange are those whose sorted
-    multi-indices agree, so each such orbit is judged by its range: with
-    rounding monotone, max - min is the largest difference between any
-    entry and a permuted one, without the N! permutations.
-    """
-    d = t.cubic_dim
-    index = np.indices(t.shape).reshape(t.order, t.size)
-    keys = d ** np.arange(t.order) @ np.sort(index, axis=0)
-    rank = np.argsort(keys)
-    keys, values = keys[rank], t.to_array().reshape(-1)[rank]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+def _orbit_means(rows: np.ndarray, order: int, d: int) -> np.ndarray:
+    """Each entry of every row of a (B, d**order) stack replaced by its
+    orbit's mean, which is the row's mean over all mode permutations."""
+    positions, starts = _orbits(order, d)
+    sizes = np.diff(starts, append=positions.size)
+    means = np.add.reduceat(rows[:, positions], starts, axis=1) / sizes
+    out = np.empty_like(rows)
+    out[:, positions] = np.repeat(means, sizes, axis=1)
+    return out
+
+
+def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
+    """True when entries are invariant under every mode permutation: with
+    rounding monotone, the range max - min of an orbit is the largest
+    difference between any of its entries and a permuted one."""
+    positions, starts = _orbits(t.order, t.cubic_dim)
+    values = t.data[positions]
     return bool(_close(np.maximum.reduceat(values, starts),
                        np.minimum.reduceat(values, starts), tol, scale=t.max_abs()))
 
@@ -362,11 +377,8 @@ def random_fully_symmetric(
     rng: np.random.Generator, order: int, d: int, scale: float = 1.0
 ) -> Tensor:
     """Random cubic tensor averaged over all mode permutations."""
-    base = rng.uniform(-scale, scale, size=(d,) * order)
-    acc = np.zeros_like(base)
-    for perm in permutations(range(order)):
-        acc += base.transpose(perm)
-    return Tensor.from_array(acc / math.factorial(order))
+    draws = rng.uniform(-scale, scale, size=(1, d**order))
+    return Tensor((d,) * order, _orbit_means(draws, order, d)[0], copy=False)
 
 
 def _fmt(value: float) -> str:

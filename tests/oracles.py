@@ -1,17 +1,18 @@
 """Scalar reference paths, kept as the oracles of the batched ones.
 
 The scalar trial path checks the batched trials.  One trial draws from
-its own generator ``trial_rng(seed, i)``, a numpy ``default_rng``, and
-its draws become weights here.  So the oracle shares neither
-``streams.TrialDraws`` nor ``law.rows`` with the path it checks.
+its own generator ``trial_rng(seed, i)``, which is
+``default_rng([seed, i])``, and its draws become weights here.  So the
+oracle shares neither ``streams.TrialDraws`` nor ``law.rows`` with the
+path it checks.
 
 The per-restart power iteration checks ``spectral.z_eigen_max``, which
 iterates every restart as one block.  It contracts with a loop of
 ``tensordot`` calls, so it shares no kernel with ``apply_power_map``.
 
 The full-symmetry check compares a tensor with each of its N! mode
-permutations; ``tensor.is_fully_symmetric`` judges each orbit of entries
-by its range instead.
+permutations, and the symmetrizer averages them; ``tensor`` judges and
+averages each orbit of entries once instead.
 """
 
 import math
@@ -28,6 +29,12 @@ from einbern import (
     ZEigenEstimate,
 )
 from einbern.tensor import _close
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator whose draws trial ``trial`` of a run seeded ``seed``
+    makes; ``streams.TrialDraws`` derives the same draws without it."""
+    return np.random.default_rng([int(seed), int(trial)])
 
 
 def weights(law, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -103,3 +110,11 @@ def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     arr, scale = t.to_array(), t.max_abs()
     return all(bool(_close(arr, arr.transpose(perm), tol, scale=scale))
                for perm in permutations(range(t.order)))
+
+
+def symmetrize(t: Tensor) -> Tensor:
+    """The mean of the tensor's N! mode permutations, summed one
+    permutation at a time."""
+    arr = t.to_array()
+    total = sum(arr.transpose(perm) for perm in permutations(range(t.order)))
+    return Tensor.from_array(total / math.factorial(t.order))

@@ -273,6 +273,9 @@ MAX = Tensor((2,), [1e308, 1e308])
 @example(call=(gen_product_outer, (BIG, BIG)))
 @example(call=(gen_product_inner, (BIG, BIG)))
 @example(call=(hadamard, (BIG, BIG)))
+@example(call=(einstein_product_reference, (BIG, BIG)))
+@example(call=(gen_product_outer_reference, (BIG, BIG)))
+@example(call=(gen_product_inner_reference, (BIG, BIG)))
 @example(call=(operator.mul, (BIG, 1e200)))
 @example(call=(operator.add, (MAX, MAX)))
 @example(call=(operator.truediv, (BIG, 0.0)))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einbern
@@ -217,8 +217,6 @@ def test_generated_stack_equals_per_component_oracles(
 ):
     if kind == "e_symmetric":
         order += order % 2
-    perms = math.factorial(order) if kind == "fully_symmetric" else 1
-    assume(count * perms * dim**order <= MAX_MODEL_ENTRIES)
     doc = {"law": law, "generate": {"count": count, "order": order, "dim": dim,
                                     "seed": seed, "kind": kind, "scale": scale}}
     if law == "subsample":
@@ -235,8 +233,9 @@ def test_generated_stack_equals_per_component_oracles(
 
 @pytest.mark.parametrize("law", ["rademacher", "subsample"])
 def test_fully_symmetric_scale_whose_permutation_sum_overflows_is_refused(law):
-    # six permutations of draws near 5e307 sum past the float range; the
-    # scale is refused before any entry is drawn, so none reaches centering
+    # the guard charges each symmetric entry 3! = 6 draws, the most that
+    # an orbit of an order-3 tensor can sum; the scale is refused before
+    # any entry is drawn, so none reaches centering
     doc = {"law": law, "generate": {"count": 4, "order": 3, "dim": 2, "seed": 0,
                                     "kind": "fully_symmetric", "scale": 5e307}}
     if law == "subsample":
@@ -531,15 +530,15 @@ class TestOversizedInputs:
         assert self.run_bound(tmp_path, doc) == 2
         assert "allowed" in capsys.readouterr().err
 
-    def test_fully_symmetric_counts_its_permutations(self, tmp_path, capsys):
-        # order 8, dim 2: 8! * 2**8 fits the budget and generates as before
-        generate = {"count": 1, "order": 8, "dim": 2, "seed": 3,
+    def test_fully_symmetric_counts_its_entries(self, tmp_path, capsys):
+        # order 10, dim 2: 2**10 entries fit the budget, and no N! is charged
+        generate = {"count": 1, "order": 10, "dim": 2, "seed": 3,
                     "kind": "fully_symmetric"}
         model = model_from_dict({"law": "rademacher", "generate": generate})
-        want = random_fully_symmetric(np.random.default_rng(3), 8, 2)
+        want = random_fully_symmetric(np.random.default_rng(3), 10, 2)
         assert np.array_equal(model.stack[0], want.data)
-        # order 9: 9! * 2**9 does not
-        generate["order"] = 9
+        # order 25: 2**25 entries do not
+        generate["order"] = 25
         doc = {"schema": 1, "law": "rademacher", "generate": generate}
         assert self.run_bound(tmp_path, doc) == 2
         assert "budget" in capsys.readouterr().err
@@ -1204,9 +1203,9 @@ def test_field_test_doc_is_valid(tmp_path):
         (["model"], inline_model({"shape": [2, 2], "entries": [5]})),
         (["model"], inline_model({"shape": 5, "entries": []})),
         (["model"], inline_model({"file": 5})),
-        # 10! permutations of 2**10 entries: 22 s of work if generated
+        # 2**25 entries: twice the budget
         (["model"], {"law": "rademacher",
-                     "generate": {"count": 1, "order": 10, "dim": 2, "seed": 0,
+                     "generate": {"count": 1, "order": 25, "dim": 2, "seed": 0,
                                   "kind": "fully_symmetric"}}),
     ],
     ids=["slack-string", "slack-bool", "scale-string", "scale-beyond-float",
@@ -1216,7 +1215,7 @@ def test_field_test_doc_is_valid(tmp_path):
          "trials-oversized", "sample-size-oversized", "sample-size-zero",
          "without-replacement", "with-replacement-string",
          "entries-number", "entry-number", "shape-number", "file-number",
-         "fully-symmetric-order-10"],
+         "fully-symmetric-over-budget"],
 )
 def test_bad_config_fields_exit_2(tmp_path, capsys, path, value):
     doc = field_test_doc()

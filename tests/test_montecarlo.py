@@ -29,12 +29,11 @@ from einbern import (
     random_tensor,
     run_experiment,
     transpose_even,
-    trial_rng,
     variance_general,
 )
 from einbern import load_experiment, montecarlo, streams
 from einbern.bounds import statistic
-from oracles import sample_sum
+from oracles import sample_sum, trial_rng
 
 
 def small_even_model(count=8, seed=0):

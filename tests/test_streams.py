@@ -12,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einbern
-from einbern import Rademacher, Subsample, trial_rng
+from einbern import Rademacher, Subsample
 from einbern import streams
 from einbern.streams import TrialDraws, uniform
-from oracles import weights
+from oracles import trial_rng, weights
 
 SEEDS = st.one_of(
     st.integers(min_value=0, max_value=2**63),

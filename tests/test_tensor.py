@@ -26,6 +26,7 @@ from einbern import (
     kron_power,
     linearize,
     matricize,
+    model_from_dict,
     outer_power,
     parse_tensor_text,
     psd_counterexample_tensor,
@@ -209,6 +210,15 @@ class TestSymmetryPredicates:
         assert is_fully_symmetric(s)
         assert not is_fully_symmetric(random_tensor(rng, (3, 3, 3, 3)))
 
+    def test_random_fully_symmetric_is_exactly_symmetric(self):
+        # every entry of an orbit holds the one orbit mean, so not even
+        # rounding separates them
+        rng = np.random.default_rng(41)
+        for order in range(1, 9):
+            for d in (1, 2, 3):
+                s = random_fully_symmetric(rng, order, d)
+                assert is_fully_symmetric(s, tol=0.0), (order, d)
+
     def test_overflowing_full_symmetry_defect_is_refused(self):
         # 1.7e308 - (-1.7e308) overflows to inf: not symmetric, no warning
         assert not is_fully_symmetric(Tensor((2, 2), [0.0, 1.7e308, -1.7e308, 0.0]))
@@ -347,6 +357,21 @@ def near_symmetric_cases(draw):
 def test_full_symmetry_matches_the_permutation_oracle(case):
     t, tol = case
     assert is_fully_symmetric(t, tol) is oracles.is_fully_symmetric(t, tol)
+
+
+@given(order=st.integers(1, 7), d=st.integers(1, 3), count=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_fully_symmetric_generators_match_the_permutation_oracle(order, d, count, seed):
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, (count, d**order))
+    model = model_from_dict({"law": "rademacher", "generate": {
+        "count": count, "order": order, "dim": d, "seed": seed,
+        "kind": "fully_symmetric"}})
+    rng = np.random.default_rng(seed)
+    for row, generated in zip(draws, model.stack):
+        want = oracles.symmetrize(Tensor((d,) * order, row))
+        assert want.allclose(random_fully_symmetric(rng, order, d))
+        assert want.allclose(Tensor(want.shape, generated))
 
 
 class TestOuterPower:
