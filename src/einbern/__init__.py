@@ -41,8 +41,6 @@ from .bounds import (
     TailBound,
     build_report,
     einstein_second_moment,
-    expectation_bound,
-    expectation_bound_general,
     format_report,
     format_tail_csv,
     intrinsic_report,

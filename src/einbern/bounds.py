@@ -44,8 +44,6 @@ __all__ = [
     "einstein_second_moment",
     "variance_even",
     "variance_general",
-    "expectation_bound",
-    "expectation_bound_general",
     "tail_bound",
     "intrinsic_report",
     "resolve_theorem",
@@ -57,6 +55,11 @@ __all__ = [
 # Theorem names a report or an experiment may request; "auto" picks
 # "even" when it applies and "general" otherwise
 THEOREMS = ("auto", "even", "general", "intrinsic")
+
+
+def _is_count(x) -> bool:
+    """Whether x is an integer (a numpy one too, but not a bool) >= 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
 
 
 class _Law:
@@ -110,7 +113,7 @@ class Subsample(_Law):
 
     def __post_init__(self):
         size = self.sample_size
-        if isinstance(size, bool) or not isinstance(size, numbers.Integral) or size < 1:
+        if not _is_count(size):
             raise ModelError(f"sample_size must be a positive integer, got {size!r}")
 
     def scale(self, k: int) -> float:
@@ -356,31 +359,6 @@ def variance_general(model: SumModel) -> GeneralVariance:
     )
 
 
-def expectation_bound(nu: float, L: float, m: int, d: int) -> float:
-    """Mean bound for the even-order statistic:
-    sqrt(2 nu m log d) + L m log d / 3."""
-    if nu < 0 or L < 0:
-        raise DomainError("nu and L must be nonnegative")
-    if m < 1:
-        raise DomainError("m must be at least 1")
-    if d < 2:
-        raise DomainError("the even-order mean bound needs d >= 2")
-    mlogd = m * math.log(d)
-    return math.sqrt(2.0 * nu * mlogd) + L * mlogd / 3.0
-
-
-def expectation_bound_general(nu: float, L: float, order: int, d: int) -> float:
-    """Mean bound for the norm statistic, with log(d**m + d**(N-m)),
-    m = ceil(N/2), replacing m log d."""
-    if nu < 0 or L < 0:
-        raise DomainError("nu and L must be nonnegative")
-    if order < 1 or d < 1:
-        raise DomainError("order and d must be at least 1")
-    m = (order + 1) // 2
-    logdim = math.log(d**m + d ** (order - m))
-    return math.sqrt(2.0 * nu * logdim) + L * logdim / 3.0
-
-
 class TailBound(NamedTuple):
     raw: float
     clamped: float
@@ -403,6 +381,8 @@ def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
         raise DomainError(f"t must be nonnegative, got {t}")
     if nu < 0 or L < 0:
         raise DomainError("nu and L must be nonnegative")
+    if dim_factor < 0:
+        raise DomainError(f"dim_factor must be nonnegative, got {dim_factor}")
     if t == 0.0:
         raw = float(dim_factor)
     elif nu == 0.0 and L == 0.0:
@@ -422,15 +402,14 @@ def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
 class BernsteinReport:
     """Bound values for one theorem applied to one model.
 
-    A report is fixed by the theorem, the order N, the dimension d, the
-    split m (which must be ceil(N/2)), L, nu and, for the intrinsic
-    bound, the intrinsic dimension ``dv``; everything else is derived
-    here.  ``dim_factor`` is the
-    ambient dimensional factor (d**m for the even-order bound,
-    d**m + d**(N-m) otherwise); ``tail_factor`` is the multiplier
-    actually used in the tail curve, which for the intrinsic bound is
-    4 dv.  The intrinsic bound has no mean bound and holds only for
-    t >= sqrt(nu) + L/3.
+    A report is fixed by the theorem, integers N >= 1 and d >= 1, the
+    split m = ceil(N/2), L, nu and, for the intrinsic bound, ``dv`` > 0;
+    everything else is derived here.  ``dim_factor`` is d**m for the
+    even-order bound (which needs d >= 2) and d**m + d**(N-m) otherwise.
+    Each mean bound is sqrt(2 nu l) + L l / 3, with l = m log d for the
+    even-order bound and log(dim_factor) otherwise.  ``tail_factor`` is
+    the multiplier of the tail curve: 4 max(dv, 1) for the intrinsic
+    bound, which has no mean bound and holds only for t >= sqrt(nu) + L/3.
     """
 
     theorem: str
@@ -450,29 +429,35 @@ class BernsteinReport:
             raise DomainError(f"unknown theorem {self.theorem!r}")
         if (self.theorem == "intrinsic") != (self.dv is not None):
             raise DomainError("the intrinsic bound, and only it, takes dv")
+        if not (_is_count(self.order) and _is_count(self.dim)):
+            raise DomainError(f"order and dim must be integers >= 1, got "
+                              f"{self.order!r}, {self.dim!r}")
         if not (math.isfinite(self.nu) and math.isfinite(self.L)):
             raise NumericalError(f"non-finite bound quantity: L={self.L}, nu={self.nu}")
         if self.nu < 0 or self.L < 0:
             raise DomainError("nu and L must be nonnegative")
-        n_order, d, m = self.order, self.dim, self.split
+        n_order, d, m = int(self.order), int(self.dim), self.split
         if m != (n_order + 1) // 2:
             raise DomainError(f"split must be ceil({n_order}/2), got {m}")
         if self.theorem == "even":
             if d < 2:
                 raise ApplicabilityError("the even-order mean bound needs d >= 2")
-            dim_factor = float(d**m)
-            mean = expectation_bound(self.nu, self.L, m, d)
+            # m log d, which is not always log(d**m) to the last bit
+            dim_factor, log_dim = float(d**m), m * math.log(d)
         else:
             dim_factor = float(d**m + d ** (n_order - m))
-            mean = expectation_bound_general(self.nu, self.L, n_order, d)
+            log_dim = math.log(dim_factor)
+        mean = math.sqrt(2.0 * self.nu * log_dim) + self.L * log_dim / 3.0
         tail_factor, domain_min = dim_factor, 0.0
         if self.theorem == "intrinsic":
+            if not self.dv > 0:
+                raise NumericalError(f"intrinsic dimension {self.dv} is not positive")
             if self.dv > dim_factor * (1 + 1e-9):
                 raise NumericalError(
                     f"intrinsic dimension {self.dv} exceeds the ambient factor "
                     f"{dim_factor}"
                 )
-            tail_factor, mean = 4.0 * self.dv, None
+            tail_factor, mean = 4.0 * max(self.dv, 1.0), None
             domain_min = math.sqrt(self.nu) + self.L / 3.0
         if mean is not None and not math.isfinite(mean):
             raise NumericalError(
@@ -489,7 +474,8 @@ class BernsteinReport:
         return t >= self.tail_domain_min - 1e-12
 
     def tail(self, t: float) -> TailBound:
-        if not self.in_domain(t):
+        # a non-finite t is refused by tail_bound, not by the domain
+        if math.isfinite(t) and not self.in_domain(t):
             raise DomainError(
                 f"t={t} is below the bound's validity threshold "
                 f"{self.tail_domain_min}"
@@ -561,11 +547,12 @@ def intrinsic_report(
 
 
 def resolve_theorem(model: SumModel, requested: str = "auto") -> str:
-    """Pick the bound to apply, validating applicability."""
+    """Pick the bound to apply, validating applicability; "auto" picks
+    "even" only where its report exists, which needs d >= 2."""
     if requested not in THEOREMS:
         raise DomainError(f"unknown theorem {requested!r}")
     if requested == "auto":
-        return "even" if model.is_even_symmetric() else "general"
+        return "even" if model.is_even_symmetric() and model.dim >= 2 else "general"
     if requested == "even" and not model.is_even_symmetric():
         raise ApplicabilityError(
             "the even-order bound needs an even order and pairwise-symmetric "

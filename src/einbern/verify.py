@@ -434,14 +434,17 @@ def _prop_counterexample(rng, seed, cases):
 
 @_property("bounds", "closed-form-spot-values", tol=1e-15)
 def _prop_formula_spot_values(rng, seed, cases):
+    def mean(*args):
+        return bounds.BernsteinReport(*args).expectation_bound
+
     checks = [
-        (bounds.expectation_bound(1, 0, 1, 2), math.sqrt(2 * math.log(2))),
+        (mean("even", 2, 2, 1, 0.0, 1.0), math.sqrt(2 * math.log(2))),
         (
-            bounds.expectation_bound(1, 1, 2, 2),
+            mean("even", 4, 2, 2, 1.0, 1.0),
             math.sqrt(4 * math.log(2)) + 2 * math.log(2) / 3,
         ),
         (
-            bounds.expectation_bound_general(1, 1, 3, 2),
+            mean("general", 3, 2, 2, 1.0, 1.0),
             math.sqrt(2 * math.log(6)) + math.log(6) / 3,
         ),
         (bounds.tail_bound(2, 1, 0, 2).raw, 2 * math.exp(-2)),

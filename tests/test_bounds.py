@@ -21,8 +21,6 @@ from einbern import (
     build_report,
     delinearize,
     einstein_second_moment,
-    expectation_bound,
-    expectation_bound_general,
     format_report,
     format_tail_csv,
     gen_product_outer,
@@ -343,29 +341,43 @@ class TestVarianceGeneral:
         assert gv.nu == pytest.approx(nu_mat, rel=1e-12)
 
 
+def mean_bound(theorem, order, dim, L, nu):
+    split = (order + 1) // 2
+    return BernsteinReport(theorem, order, dim, split, L, nu).expectation_bound
+
+
 class TestClosedForms:
     def test_expectation_hand_values(self):
-        assert expectation_bound(1, 0, 1, 2) == pytest.approx(
+        assert mean_bound("even", 2, 2, 0.0, 1.0) == pytest.approx(
             math.sqrt(2 * math.log(2)), rel=1e-15
         )
-        assert expectation_bound(0, 0, 1, 2) == 0.0
-        assert expectation_bound(1, 1, 2, 2) == pytest.approx(
+        assert mean_bound("even", 2, 2, 0.0, 0.0) == 0.0
+        assert mean_bound("even", 4, 2, 1.0, 1.0) == pytest.approx(
             math.sqrt(4 * math.log(2)) + 2 * math.log(2) / 3, rel=1e-15
         )
 
     def test_expectation_domain(self):
+        with pytest.raises(ApplicabilityError, match="needs d >= 2"):
+            mean_bound("even", 2, 1, 1.0, 1.0)
         with pytest.raises(DomainError):
-            expectation_bound(1, 1, 1, 1)
-        with pytest.raises(DomainError):
-            expectation_bound(-1, 0, 1, 2)
+            mean_bound("even", 2, 2, 0.0, -1.0)
 
     def test_general_expectation_hand_values(self):
-        assert expectation_bound_general(1, 1, 3, 2) == pytest.approx(
+        assert mean_bound("general", 3, 2, 1.0, 1.0) == pytest.approx(
             math.sqrt(2 * math.log(6)) + math.log(6) / 3, rel=1e-15
         )
         # smallest case: order 1, dim 1 gives a log 2 factor
-        assert expectation_bound_general(1, 1, 1, 1) == pytest.approx(
+        assert mean_bound("general", 1, 1, 1.0, 1.0) == pytest.approx(
             math.sqrt(2 * math.log(2)) + math.log(2) / 3, rel=1e-15
+        )
+
+    def test_even_mean_uses_m_log_d(self):
+        # m log d and log(d**m) differ in the last bit at (m, d) = (5, 3),
+        # and so do the two mean bounds at these L and nu
+        L, nu = 2.5, 25.0
+        mlogd = 5 * math.log(3)
+        assert BernsteinReport("even", 10, 3, 5, L, nu).expectation_bound == (
+            math.sqrt(2.0 * nu * mlogd) + L * mlogd / 3.0
         )
 
     def test_tail_hand_values(self):
@@ -383,10 +395,16 @@ class TestClosedForms:
     @pytest.mark.parametrize("args", [
         (math.nan, 1, 1, 2), (math.inf, 1, 1, 2), (1, math.nan, 1, 2),
         (1, 1, math.inf, 2), (1, 1, 1, math.nan),
+        # a negative factor; a report's tail at t = NaN, which is refused
+        # as non-finite before the validity threshold is applied
+        (1.0, 1.0, 1.0, -3.0), (math.nan,),
     ])
     def test_tail_rejects_non_finite(self, args):
-        with pytest.raises(DomainError):
-            tail_bound(*args)
+        tail = tail_bound
+        if len(args) == 1:
+            tail = BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0, 3.0).tail
+        with pytest.raises(DomainError, match="must be (finite|nonnegative)"):
+            tail(*args)
 
     def test_tail_monotonicity(self):
         ts = np.linspace(0, 6, 31)
@@ -494,6 +512,9 @@ class TestReports:
         odd_model = SumModel.rademacher([random_tensor(rng, (2, 2, 2))])
         assert resolve_theorem(even_model) == "even"
         assert resolve_theorem(odd_model) == "general"
+        # the even-order mean bound needs d >= 2
+        dim_one = SumModel.rademacher([identity_tensor(1, 1)])
+        assert resolve_theorem(dim_one) == "general"
         with pytest.raises(ApplicabilityError):
             resolve_theorem(odd_model, "even")
         with pytest.raises(DomainError):
@@ -630,6 +651,13 @@ class TestDerivedReportFields:
         # the mean bound and the dimensional factor both split at ceil(N/2)
         with pytest.raises(DomainError, match="split"):
             BernsteinReport("general", 5, 3, 1, 1.0, 1.0)
+        # malformed counts and intrinsic dimensions give no bound
+        for order, dim in [(0, 2), (3.5, 2), (True, 2), (3, 0)]:
+            with pytest.raises(DomainError, match="order and dim"):
+                BernsteinReport("general", order, dim, 2, 1.0, 1.0)
+        for dv in (-1.0, 0.0, math.nan):
+            with pytest.raises(NumericalError, match="not positive"):
+                BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0, dv)
 
     def test_in_domain_slack(self):
         report = BernsteinReport("intrinsic", 3, 2, 2, 2.5, 25.0, 3.7)
@@ -641,3 +669,63 @@ class TestDerivedReportFields:
         )
         with pytest.raises(DomainError):
             report.tail(edge - 2e-12)
+
+
+BAD_COUNTS = [0, -2, 3.5, 2.0, True, "3", None]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    theorem=st.sampled_from(["even", "general", "intrinsic"]),
+    order=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    count=st.sampled_from([int, np.int64]),
+    L=st.floats(0.0, 1e6),
+    nu=st.floats(0.0, 1e6),
+    share=st.one_of(st.floats(-0.5, 1.5), st.just(math.nan)),
+    bad=st.one_of(st.none(), st.tuples(st.sampled_from(["order", "dim"]),
+                                       st.sampled_from(BAD_COUNTS))),
+)
+def test_report_fields_are_their_closed_forms(theorem, order, dim, count, L, nu,
+                                              share, bad):
+    # dv is a share of the ambient factor, so it falls on both sides of
+    # (0, dim_factor]; a bad input is an EinbernError, never a bare
+    # ValueError or TypeError
+    m = (order + 1) // 2
+    ambient = float(dim**m + dim ** (order - m))
+    dv = share * ambient if theorem == "intrinsic" else None
+    counts = {"order": count(order), "dim": count(dim)}
+    if bad is not None:
+        counts[bad[0]] = bad[1]
+
+    def build():
+        return BernsteinReport(theorem, counts["order"], counts["dim"], m, L, nu, dv)
+
+    if bad is not None:
+        with pytest.raises(DomainError, match="order and dim"):
+            build()
+        return
+    if theorem == "even" and dim < 2:
+        with pytest.raises(ApplicabilityError):
+            build()
+        return
+    if theorem == "intrinsic" and not 0.0 < dv <= ambient * (1 + 1e-9):
+        with pytest.raises(NumericalError):
+            build()
+        return
+    report = build()
+    if theorem == "even":
+        factor, log_dim = float(dim**m), m * math.log(dim)
+    else:
+        factor, log_dim = ambient, math.log(ambient)
+    assert report.dim_factor == factor
+    if theorem == "intrinsic":
+        assert report.tail_factor == 4.0 * max(dv, 1.0)
+        assert report.expectation_bound is None
+        assert report.tail_domain_min == math.sqrt(nu) + L / 3.0
+    else:
+        assert report.tail_factor == factor
+        assert report.expectation_bound == (
+            math.sqrt(2.0 * nu * log_dim) + L * log_dim / 3.0
+        )
+        assert report.tail_domain_min == 0.0

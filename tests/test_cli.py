@@ -496,6 +496,28 @@ class TestSimulateCommand:
             assert out.exists()
 
 
+    def test_auto_on_dim_one_runs_general(self, tmp_path, capsys):
+        # the even-order mean bound needs d >= 2, so auto picks general on
+        # a d = 1 E-symmetric model, with the bytes of a general experiment
+        model = {"law": "rademacher", "generate": {
+            "count": 5, "order": 2, "dim": 1, "seed": 3, "kind": "e_symmetric"}}
+        runs = {}
+        for theorem in ("auto", "general", "even"):
+            doc = {"schema": 1, "model": model, "trials": 200,
+                   "t_grid": [0.5, 1.0, 2.0], "seed": 0, "theorem": theorem}
+            config = write_json(tmp_path / f"{theorem}.json", doc)
+            out = tmp_path / f"{theorem}.csv"
+            code = main(["simulate", "--config", config, "--out", str(out)])
+            runs[theorem] = (code, capsys.readouterr(),
+                             out.read_bytes() if out.exists() else None)
+        assert runs["auto"] == runs["general"]
+        assert runs["auto"][0] == 0
+        assert runs["auto"][1].out.startswith("statistic=gen_spectral_norm ")
+        code, captured, csv = runs["even"]
+        assert (code, captured.out, csv) == (3, "", None)
+        assert captured.err == "error: the even-order mean bound needs d >= 2\n"
+
+
 class TestOversizedInputs:
     def run_bound(self, tmp_path, doc):
         config = write_json(tmp_path / "model.json", doc)

@@ -1,6 +1,5 @@
 """The worked example (paper Example 4.5) behind `example45` and `verify`."""
 
-import dataclasses
 import math
 
 import pytest
@@ -74,8 +73,13 @@ def test_nan_tail_bound_fails_monotonicity(monkeypatch):
 
 def test_nan_intrinsic_dimension_fails_identity(monkeypatch):
     real = bounds.intrinsic_report
-    monkeypatch.setattr(bounds, "intrinsic_report",
-                        lambda *args: dataclasses.replace(real(*args), dv=math.nan))
+
+    def nan_dv(*args):
+        report = real(*args)
+        object.__setattr__(report, "dv", math.nan)
+        return report
+
+    monkeypatch.setattr(bounds, "intrinsic_report", nan_dv)
     result = verify._prop_intrinsic_identity(0, 5)
     assert result.name == "intrinsic-dimension-identity"
     assert not result.passed and "nan" in result.detail
