@@ -40,14 +40,12 @@ from .bounds import (
     SumModel,
     TailBound,
     build_report,
-    einstein_second_moment,
     format_report,
     format_tail_csv,
     intrinsic_report,
     resolve_theorem,
     tail_bound,
     uniform_bound_L,
-    variance_even,
     variance_general,
 )
 from .config import (

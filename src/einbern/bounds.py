@@ -23,12 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import matricize, matricize_rows, unmatricize
+from .algebra import _gram_tensor, matricize, matricize_rows
 from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
 from .spectral import (
     _psd_spectrum, _trace, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
 )
-from .tensor import Tensor, _fmt, e_symmetric_rows
+from .tensor import Tensor, _computed, _fmt, e_symmetric_rows
 
 __all__ = [
     "Rademacher",
@@ -41,8 +41,6 @@ __all__ = [
     "statistic",
     "stack_statistics",
     "uniform_bound_L",
-    "einstein_second_moment",
-    "variance_even",
     "variance_general",
     "tail_bound",
     "intrinsic_report",
@@ -60,6 +58,11 @@ THEOREMS = ("auto", "even", "general", "intrinsic")
 def _is_count(x) -> bool:
     """Whether x is an integer (a numpy one too, but not a bool) >= 1."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real number (a numpy one too), but not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class _Law:
@@ -122,11 +125,8 @@ class Subsample(_Law):
     def population(self, stack: np.ndarray) -> np.ndarray:
         """The centered population: the mean row is subtracted, so that
         the summands have zero mean."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            centered = stack - stack.mean(axis=0)
-        if not np.isfinite(centered).all():
-            raise NumericalError("centering the subsample population overflowed")
-        return centered
+        return _computed("centering the subsample population",
+                         lambda: stack - stack.mean(axis=0))
 
     def draws(self, k: int) -> tuple:
         return k, self.sample_size
@@ -288,10 +288,8 @@ def uniform_bound_L(model: SumModel, theorem: str = "auto") -> float:
     if resolve_theorem(model, theorem) == "even":
         stat = "abs_eig" if model.law.signed else "lambda_max"
     top = float(stack_statistics(model, model.stack, stat).max())
-    best = float(model.law.scale(len(model.stack))) * top
-    if not math.isfinite(best):
-        raise NumericalError("the uniform bound L overflowed")
-    return max(best, 0.0)
+    scale = float(model.law.scale(len(model.stack)))
+    return max(_computed("the uniform bound L", lambda: scale * top), 0.0)
 
 
 def _gram(model: SumModel, rows: np.ndarray, k: int) -> Tensor:
@@ -301,28 +299,8 @@ def _gram(model: SumModel, rows: np.ndarray, k: int) -> Tensor:
     per subsample draw, the mean of the n population squares times
     (n/s)^2, summed over the s draws, is n/s times their sum."""
     rows = rows.reshape(-1, model.dim**k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = rows.T @ rows
-        gram = model.law.scale(len(model.stack)) * ((gram + gram.T) / 2.0)
-    if not np.isfinite(gram).all():
-        raise NumericalError("variance statistic overflowed to a non-finite value")
-    return unmatricize(gram, 2 * k, model.dim)
-
-
-def einstein_second_moment(model: SumModel) -> Tensor:
-    """Exact sum over summands of E(X_k * X_k) under the Einstein square.
-
-    A pairwise-symmetric X has X * X = X * X^T, so the sum is the outer
-    Gram product of ``variance_general``.
-    """
-    resolve_theorem(model, "even")
-    return _gram(model, model.stack, model.split)
-
-
-def variance_even(model: SumModel) -> float:
-    """Variance statistic of the even-order bound: the norm of the
-    summed Einstein squares."""
-    return e_spectral_norm(einstein_second_moment(model))
+    gram = _gram_tensor(rows.T, rows, True, 2 * k, model.dim)
+    return model.law.scale(len(model.stack)) * gram
 
 
 @dataclass(frozen=True)
@@ -402,10 +380,12 @@ def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
 class BernsteinReport:
     """Bound values for one theorem applied to one model.
 
-    A report is fixed by the theorem, integers N >= 1 and d >= 1, the
-    split m = ceil(N/2), L, nu and, for the intrinsic bound, ``dv`` > 0;
-    everything else is derived here.  ``dim_factor`` is d**m for the
-    even-order bound (which needs d >= 2) and d**m + d**(N-m) otherwise.
+    A report is fixed by the theorem, integers N >= 1 and d >= 1, real
+    L and nu and, for the intrinsic bound, a real ``dv`` > 0; everything
+    else is derived here, starting with the split m = ceil(N/2).
+    ``dim_factor`` is d**m for the even-order bound (which needs d >= 2)
+    and d**m + d**(N-m) otherwise; one that does not fit a float is a
+    NumericalError.
     Each mean bound is sqrt(2 nu l) + L l / 3, with l = m log d for the
     even-order bound and log(dim_factor) otherwise.  ``tail_factor`` is
     the multiplier of the tail curve: 4 max(dv, 1) for the intrinsic
@@ -415,7 +395,7 @@ class BernsteinReport:
     theorem: str
     order: int
     dim: int
-    split: int
+    split: int = field(init=False)
     L: float
     nu: float
     dim_factor: float = field(init=False)
@@ -432,21 +412,26 @@ class BernsteinReport:
         if not (_is_count(self.order) and _is_count(self.dim)):
             raise DomainError(f"order and dim must be integers >= 1, got "
                               f"{self.order!r}, {self.dim!r}")
+        reals = (self.L, self.nu) if self.dv is None else (self.L, self.nu, self.dv)
+        if not all(_is_real(x) for x in reals):
+            raise DomainError(f"L, nu and dv must be real numbers, got "
+                              f"{self.L!r}, {self.nu!r}, {self.dv!r}")
         if not (math.isfinite(self.nu) and math.isfinite(self.L)):
             raise NumericalError(f"non-finite bound quantity: L={self.L}, nu={self.nu}")
         if self.nu < 0 or self.L < 0:
             raise DomainError("nu and L must be nonnegative")
-        n_order, d, m = int(self.order), int(self.dim), self.split
-        if m != (n_order + 1) // 2:
-            raise DomainError(f"split must be ceil({n_order}/2), got {m}")
-        if self.theorem == "even":
-            if d < 2:
-                raise ApplicabilityError("the even-order mean bound needs d >= 2")
-            # m log d, which is not always log(d**m) to the last bit
-            dim_factor, log_dim = float(d**m), m * math.log(d)
-        else:
-            dim_factor = float(d**m + d ** (n_order - m))
-            log_dim = math.log(dim_factor)
+        n_order, d = int(self.order), int(self.dim)
+        m = (n_order + 1) // 2
+        even = self.theorem == "even"
+        if even and d < 2:
+            raise ApplicabilityError("the even-order mean bound needs d >= 2")
+        try:
+            dim_factor = float(d**m if even else d**m + d ** (n_order - m))
+        except OverflowError:
+            raise NumericalError(f"the dimensional factor of order {n_order} at dim "
+                                 f"{d} does not fit a float") from None
+        # m log d for the even bound, which is not always log(d**m) to the last bit
+        log_dim = m * math.log(d) if even else math.log(dim_factor)
         mean = math.sqrt(2.0 * self.nu * log_dim) + self.L * log_dim / 3.0
         tail_factor, domain_min = dim_factor, 0.0
         if self.theorem == "intrinsic":
@@ -463,6 +448,7 @@ class BernsteinReport:
             raise NumericalError(
                 f"the mean bound overflowed: L={self.L}, nu={self.nu}"
             )
+        object.__setattr__(self, "split", m)
         object.__setattr__(self, "dim_factor", dim_factor)
         object.__setattr__(self, "tail_factor", tail_factor)
         object.__setattr__(self, "expectation_bound", mean)
@@ -520,8 +506,7 @@ def intrinsic_report(
     if exact_inner is not None:
         _check_e_psd(v_inner - exact_inner, f"inner {dominates}", vals_inner)
 
-    m = v_outer.order // 2
-    order = m + v_inner.order // 2
+    order = (v_outer.order + v_inner.order) // 2
     d = v_outer.cubic_dim if v_outer.order else v_inner.cubic_dim
     nu = float(max(vals_outer[0], vals_inner[0]))
     if nu <= 0.0:
@@ -543,7 +528,7 @@ def intrinsic_report(
             f"{dv_matrix} from the block matrix"
         )
 
-    return BernsteinReport("intrinsic", order, d, m, float(L), nu, dv)
+    return BernsteinReport("intrinsic", order, d, float(L), nu, dv)
 
 
 def resolve_theorem(model: SumModel, requested: str = "auto") -> str:
@@ -564,13 +549,15 @@ def resolve_theorem(model: SumModel, requested: str = "auto") -> str:
 def build_report(model: SumModel, theorem: str = "auto") -> BernsteinReport:
     """Compute every bound quantity of the chosen theorem for a model."""
     theorem = resolve_theorem(model, theorem)
-    shape = (model.order, model.dim, model.split)
     L = uniform_bound_L(model, theorem)
     if theorem == "even":
-        return BernsteinReport("even", *shape, L, variance_even(model))
+        # a pairwise-symmetric X has X * X = X * X^T, so the summed Einstein
+        # squares are the general bound's outer Gram sum
+        nu = e_spectral_norm(_gram(model, model.stack, model.split))
+        return BernsteinReport("even", model.order, model.dim, L, nu)
     gv = variance_general(model)
     if theorem == "general":
-        return BernsteinReport("general", *shape, L, gv.nu)
+        return BernsteinReport("general", model.order, model.dim, L, gv.nu)
     return intrinsic_report(gv.outer, gv.inner, L)
 
 

@@ -30,9 +30,9 @@ from .bounds import (
     stack_statistics,
     statistic,
 )
-from .errors import ModelError, NumericalError
+from .errors import ModelError
 from .streams import TrialDraws
-from .tensor import _fmt
+from .tensor import _computed, _fmt
 
 __all__ = [
     "ExperimentConfig",
@@ -173,10 +173,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     name, kind = statistic(config.model, report.theorem)
     stats = _collect_statistics(config, kind)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, std = float(stats.mean()), float(stats.std(ddof=1))
-    if not (math.isfinite(mean) and math.isfinite(std)):
-        raise NumericalError("the mean or std of the trial statistics overflowed")
+    mean, std = _computed("the mean or std of the trial statistics",
+                          lambda: (float(stats.mean()), float(stats.std(ddof=1))))
 
     trials = config.trials
     # the statistics are finite here, so trials - #{stat < t} of them reach t

@@ -18,6 +18,7 @@ from .algebra import hermitian_dilation, matricize, matricize_general, unmatrici
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
 from .tensor import (
     Tensor,
+    _computed,
     _require_finite_result,
     apply_power_map,
     is_e_symmetric,
@@ -190,11 +191,7 @@ def e_trace(t: Tensor) -> float:
 
 def _trace(matrix: np.ndarray, label: str) -> float:
     """The trace of ``matrix``; NumericalError naming ``label`` on overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = float(np.trace(matrix))
-    if not np.isfinite(trace):
-        raise NumericalError(f"the trace of the {label} overflowed")
-    return trace
+    return _computed(f"the trace of the {label}", lambda: float(np.trace(matrix)))
 
 
 def gen_spectral_norm(t: Tensor) -> float:

@@ -142,13 +142,18 @@ def _require_finite_result(values: np.ndarray, what: str) -> np.ndarray:
     return values
 
 
-def _finite(shape, compute) -> Tensor:
-    """The tensor whose flat entries ``compute()`` returns, computed with
-    numpy's float warnings off; a non-finite entry raises NumericalError.
-    Tensor arithmetic and the tensor products build their results here."""
+def _computed(what: str, compute):
+    """What ``compute()`` returns, computed with numpy's float warnings
+    off; a non-finite value is a NumericalError naming ``what`` overflowed."""
     with np.errstate(all="ignore"):
-        flat = compute()
-    return Tensor(shape, _require_finite_result(flat, "tensor arithmetic"), copy=False)
+        values = compute()
+    return _require_finite_result(values, what)
+
+
+def _finite(shape, compute) -> Tensor:
+    """The tensor whose flat entries ``compute()`` returns, by ``_computed``.
+    Tensor arithmetic and the tensor products build their results here."""
+    return Tensor(shape, _computed("tensor arithmetic", compute), copy=False)
 
 
 def linearize(indices, shape) -> int:

@@ -438,13 +438,13 @@ def _prop_formula_spot_values(rng, seed, cases):
         return bounds.BernsteinReport(*args).expectation_bound
 
     checks = [
-        (mean("even", 2, 2, 1, 0.0, 1.0), math.sqrt(2 * math.log(2))),
+        (mean("even", 2, 2, 0.0, 1.0), math.sqrt(2 * math.log(2))),
         (
-            mean("even", 4, 2, 2, 1.0, 1.0),
+            mean("even", 4, 2, 1.0, 1.0),
             math.sqrt(4 * math.log(2)) + 2 * math.log(2) / 3,
         ),
         (
-            mean("general", 3, 2, 2, 1.0, 1.0),
+            mean("general", 3, 2, 1.0, 1.0),
             math.sqrt(2 * math.log(6)) + math.log(6) / 3,
         ),
         (bounds.tail_bound(2, 1, 0, 2).raw, 2 * math.exp(-2)),
@@ -564,7 +564,7 @@ def _prop_centering_annihilation(rng, seed, cases):
     base = tensor.random_e_symmetric(rng, 1, 3)
     model = bounds.SumModel.subsample([base, base, base], sample_size=4)
     yield abs(bounds.uniform_bound_L(model))
-    yield abs(bounds.variance_even(model))
+    yield abs(bounds.build_report(model, "even").nu)
 
 
 @_property("bounds", "projector-variance-linearity", salt=45, tol=1e-10)
@@ -574,7 +574,7 @@ def _prop_projector_variance(rng, seed, cases):
     proj = algebra.gen_product_outer(tensor.outer_power(x, 2), tensor.outer_power(x, 2))
     k = 7
     model = bounds.SumModel.rademacher([proj] * k)
-    yield abs(bounds.variance_even(model) - k)
+    yield abs(bounds.build_report(model, "even").nu - k)
 
 
 @_property("bounds", "subsample-exact-enumeration", salt=46, tol=1e-12)
@@ -591,7 +591,7 @@ def _prop_subsample_scaling(rng, seed, cases):
     l_direct = (n / s) * max(
         float(np.linalg.eigvalsh(algebra.matricize(c))[-1]) for c in centered
     )
-    yield abs(bounds.variance_even(model) - nu_direct) / max(1.0, nu_direct)
+    yield abs(bounds.build_report(model, "even").nu - nu_direct) / max(1.0, nu_direct)
     yield abs(bounds.uniform_bound_L(model, "even") - l_direct) / max(1.0, l_direct)
 
 

@@ -20,7 +20,6 @@ from einbern import (
     Tensor,
     build_report,
     delinearize,
-    einstein_second_moment,
     format_report,
     format_tail_csv,
     gen_product_outer,
@@ -36,7 +35,6 @@ from einbern import (
     tail_bound,
     transpose_even,
     uniform_bound_L,
-    variance_even,
     variance_general,
 )
 from einbern import bounds, spectral
@@ -167,8 +165,6 @@ class TestSumModel:
         big = Tensor((2, 2), [1e200, 0.0, 0.0, 0.0])
         model = SumModel.rademacher([big])
         with pytest.raises(NumericalError):
-            variance_even(model)
-        with pytest.raises(NumericalError):
             variance_general(model)
         with pytest.raises(NumericalError):
             build_report(model, "even")
@@ -257,21 +253,22 @@ def test_L_is_the_statistic_capped_over_every_realization(
 
 
 class TestVarianceEven:
+    # the even bound's nu is the norm of the general bound's outer Gram sum
     def test_identity_model(self):
         model = SumModel.rademacher([identity_tensor(1, 2)])
-        assert variance_even(model) == pytest.approx(1.0)
+        assert build_report(model, "even").nu == pytest.approx(1.0)
 
     def test_projector_linearity(self):
         x = np.array([0.6, 0.8])
         p = gen_product_outer(outer_power(x, 2), outer_power(x, 2))
         model = SumModel.rademacher([p] * 7)
-        assert variance_even(model) == pytest.approx(7.0, abs=1e-10)
+        assert build_report(model, "even").nu == pytest.approx(7.0, abs=1e-10)
 
     def test_matches_monte_carlo_second_moment(self):
         rng = np.random.default_rng(7)
         comps = [random_e_symmetric(rng, 1, 3) for _ in range(5)]
         model = SumModel.rademacher(comps)
-        nu = variance_even(model)
+        nu = build_report(model, "even").nu
         mats = np.stack([matricize(c) for c in comps])
         trials = 100_000
         signs = rng.integers(0, 2, size=(trials, 5)) * 2 - 1
@@ -285,23 +282,46 @@ class TestVarianceEven:
         rng = np.random.default_rng(8)
         model = SumModel.rademacher([random_tensor(rng, (2, 2))])
         with pytest.raises(ApplicabilityError):
-            variance_even(model)
+            build_report(model, "even")
 
     def test_requires_even_order(self):
         rng = np.random.default_rng(9)
         model = SumModel.rademacher([random_tensor(rng, (2, 2, 2))])
         with pytest.raises(ApplicabilityError):
-            variance_even(model)
+            build_report(model, "even")
 
     def test_subsample_scaling(self):
         rng = np.random.default_rng(10)
         pop = [random_e_symmetric(rng, 1, 2) for _ in range(6)]
         model = SumModel.subsample(pop, 3)
-        moment = einstein_second_moment(model)
+        moment = variance_general(model).outer
         oracle = (6 / 3) * sum(
             matricize(c) @ matricize(c) for c in model.components
         )
         assert np.abs(matricize(moment) - oracle).max() <= 1e-12
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([2, 4, 6]),
+    dim=st.integers(2, 3),
+    count=st.integers(1, 8),
+    law=st.sampled_from(["rademacher", "subsample"]),
+    sample_size=st.integers(1, 9),
+    seed=st.integers(0, 2**16),
+)
+def test_every_nu_is_formed_from_one_gram_sum(order, dim, count, law, sample_size,
+                                              seed):
+    # the even bound's nu is the norm of the general bound's outer Gram
+    # sum, to the bit, and the general bound's nu is the general statistic's
+    doc = {"law": law, "generate": {"count": count, "order": order, "dim": dim,
+                                    "seed": seed, "kind": "e_symmetric"}}
+    if law == "subsample":
+        doc["sample_size"] = sample_size
+    model = model_from_dict(doc)
+    gv = variance_general(model)
+    assert build_report(model, "even").nu == spectral.e_spectral_norm(gv.outer)
+    assert build_report(model, "general").nu == gv.nu
 
 
 class TestVarianceGeneral:
@@ -321,7 +341,7 @@ class TestVarianceGeneral:
         comps = [random_e_symmetric(rng, 2, 2) for _ in range(4)]
         model = SumModel.rademacher(comps)
         assert variance_general(model).nu == pytest.approx(
-            variance_even(model), rel=1e-12
+            build_report(model, "even").nu, rel=1e-12
         )
 
     def test_matches_matricized_statistics(self):
@@ -342,8 +362,7 @@ class TestVarianceGeneral:
 
 
 def mean_bound(theorem, order, dim, L, nu):
-    split = (order + 1) // 2
-    return BernsteinReport(theorem, order, dim, split, L, nu).expectation_bound
+    return BernsteinReport(theorem, order, dim, L, nu).expectation_bound
 
 
 class TestClosedForms:
@@ -376,7 +395,7 @@ class TestClosedForms:
         # and so do the two mean bounds at these L and nu
         L, nu = 2.5, 25.0
         mlogd = 5 * math.log(3)
-        assert BernsteinReport("even", 10, 3, 5, L, nu).expectation_bound == (
+        assert BernsteinReport("even", 10, 3, L, nu).expectation_bound == (
             math.sqrt(2.0 * nu * mlogd) + L * mlogd / 3.0
         )
 
@@ -402,7 +421,7 @@ class TestClosedForms:
     def test_tail_rejects_non_finite(self, args):
         tail = tail_bound
         if len(args) == 1:
-            tail = BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0, 3.0).tail
+            tail = BernsteinReport("intrinsic", 3, 2, 1.0, 1.0, 3.0).tail
         with pytest.raises(DomainError, match="must be (finite|nonnegative)"):
             tail(*args)
 
@@ -592,7 +611,8 @@ class TestReports:
 
 
 class TestDerivedReportFields:
-    # (theorem, N, d, m, L, nu, dv) -> dim_factor, tail_factor, mean, domain
+    # (theorem, N, d, m, L, nu, dv) -> dim_factor, tail_factor, mean, domain;
+    # m is the split the report derives, not an input
     @pytest.mark.parametrize(
         "theorem, order, dim, split, L, nu, dv",
         [
@@ -605,7 +625,8 @@ class TestDerivedReportFields:
         ],
     )
     def test_closed_forms(self, theorem, order, dim, split, L, nu, dv):
-        report = BernsteinReport(theorem, order, dim, split, L, nu, dv)
+        report = BernsteinReport(theorem, order, dim, L, nu, dv)
+        assert report.split == split == (order + 1) // 2
         if theorem == "even":
             factor = float(dim**split)
             logdim = split * math.log(dim)
@@ -630,37 +651,39 @@ class TestDerivedReportFields:
         model = SumModel.rademacher([random_e_symmetric(rng, 2, 2) for _ in range(6)])
         report = build_report(model, theorem)
         again = BernsteinReport(report.theorem, report.order, report.dim,
-                                report.split, report.L, report.nu, report.dv)
+                                report.L, report.nu, report.dv)
         assert again == report
 
     def test_derived_fields_are_not_inputs(self):
-        with pytest.raises(TypeError):
-            BernsteinReport("general", 3, 2, 2, 1.0, 1.0, dim_factor=6.0)
+        for derived in ({"dim_factor": 6.0}, {"split": 2}):
+            with pytest.raises(TypeError):
+                BernsteinReport("general", 3, 2, 1.0, 1.0, **derived)
 
     def test_construction_guards(self):
         with pytest.raises(DomainError):
-            BernsteinReport("auto", 3, 2, 2, 1.0, 1.0)
+            BernsteinReport("auto", 3, 2, 1.0, 1.0)
         with pytest.raises(DomainError):
-            BernsteinReport("general", 3, 2, 2, 1.0, 1.0, dv=2.0)
+            BernsteinReport("general", 3, 2, 1.0, 1.0, dv=2.0)
         with pytest.raises(DomainError):
-            BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0)
+            BernsteinReport("intrinsic", 3, 2, 1.0, 1.0)
         with pytest.raises(NumericalError):
-            BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0, dv=7.0)
+            BernsteinReport("intrinsic", 3, 2, 1.0, 1.0, dv=7.0)
         with pytest.raises(ApplicabilityError):
-            BernsteinReport("even", 2, 1, 1, 1.0, 1.0)
-        # the mean bound and the dimensional factor both split at ceil(N/2)
-        with pytest.raises(DomainError, match="split"):
-            BernsteinReport("general", 5, 3, 1, 1.0, 1.0)
+            BernsteinReport("even", 2, 1, 1.0, 1.0)
         # malformed counts and intrinsic dimensions give no bound
         for order, dim in [(0, 2), (3.5, 2), (True, 2), (3, 0)]:
             with pytest.raises(DomainError, match="order and dim"):
-                BernsteinReport("general", order, dim, 2, 1.0, 1.0)
+                BernsteinReport("general", order, dim, 1.0, 1.0)
         for dv in (-1.0, 0.0, math.nan):
             with pytest.raises(NumericalError, match="not positive"):
-                BernsteinReport("intrinsic", 3, 2, 2, 1.0, 1.0, dv)
+                BernsteinReport("intrinsic", 3, 2, 1.0, 1.0, dv)
+        # 3**650 does not fit a float, so no dimensional factor is formed
+        for theorem, dv in [("general", None), ("even", None), ("intrinsic", 1.0)]:
+            with pytest.raises(NumericalError, match="dimensional factor"):
+                BernsteinReport(theorem, 1300, 3, 1.0, 1.0, dv)
 
     def test_in_domain_slack(self):
-        report = BernsteinReport("intrinsic", 3, 2, 2, 2.5, 25.0, 3.7)
+        report = BernsteinReport("intrinsic", 3, 2, 2.5, 25.0, 3.7)
         edge = report.tail_domain_min
         assert report.in_domain(edge) and report.in_domain(edge - 5e-13)
         assert not report.in_domain(edge - 2e-12)
@@ -672,6 +695,8 @@ class TestDerivedReportFields:
 
 
 BAD_COUNTS = [0, -2, 3.5, 2.0, True, "3", None]
+# not real numbers: a bool is refused although it is an int
+BAD_REALS = ["1", None, True]
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -684,7 +709,9 @@ BAD_COUNTS = [0, -2, 3.5, 2.0, True, "3", None]
     nu=st.floats(0.0, 1e6),
     share=st.one_of(st.floats(-0.5, 1.5), st.just(math.nan)),
     bad=st.one_of(st.none(), st.tuples(st.sampled_from(["order", "dim"]),
-                                       st.sampled_from(BAD_COUNTS))),
+                                       st.sampled_from(BAD_COUNTS)),
+                  st.tuples(st.sampled_from(["L", "nu", "dv"]),
+                            st.sampled_from(BAD_REALS))),
 )
 def test_report_fields_are_their_closed_forms(theorem, order, dim, count, L, nu,
                                               share, bad):
@@ -694,15 +721,21 @@ def test_report_fields_are_their_closed_forms(theorem, order, dim, count, L, nu,
     m = (order + 1) // 2
     ambient = float(dim**m + dim ** (order - m))
     dv = share * ambient if theorem == "intrinsic" else None
-    counts = {"order": count(order), "dim": count(dim)}
+    inputs = {"order": count(order), "dim": count(dim), "L": L, "nu": nu, "dv": dv}
+    if bad is not None and bad[0] == "dv" and theorem != "intrinsic":
+        bad = None  # the other bounds take no dv
     if bad is not None:
-        counts[bad[0]] = bad[1]
+        inputs[bad[0]] = bad[1]
 
     def build():
-        return BernsteinReport(theorem, counts["order"], counts["dim"], m, L, nu, dv)
+        return BernsteinReport(theorem, **inputs)
 
     if bad is not None:
-        with pytest.raises(DomainError, match="order and dim"):
+        # a dv of None is a missing one
+        match = "real numbers|takes dv"
+        if bad[0] in ("order", "dim"):
+            match = "order and dim"
+        with pytest.raises(DomainError, match=match):
             build()
         return
     if theorem == "even" and dim < 2:
