@@ -259,13 +259,11 @@ def stack_statistics(model: SumModel, rows: np.ndarray, kind: str) -> np.ndarray
     """Statistic ``kind`` of each row of a (B, d**N) stack of tensors
     shaped like the model's components.
 
-    Non-finite rows are a NumericalError, and so, from the solvers, are
-    non-finite results.  The eigenvalue kinds are asked for only when
+    Non-finite rows, and non-finite results, are a NumericalError from
+    the solvers.  The eigenvalue kinds are asked for only when
     the model is E-symmetric, and solve the symmetric part of each row's
     square unfolding.
     """
-    if not np.isfinite(rows).all():
-        raise NumericalError("a summed tensor has non-finite entries (overflow)")
     mats = matricize_rows(rows, model.order, model.dim)
     if kind == "sigma_max":
         return top_singular_values(mats)

@@ -141,16 +141,16 @@ def cmd_bound(args) -> int:
         grid = kept
     # a failing tail point or file leaves no report and no CSV behind
     csv = format_tail_csv(report, grid)
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(csv)
+    with open(args.out, "wb") as fh:
+        fh.write(csv.encode("ascii"))
     sys.stdout.write(format_report(report))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     result = run_experiment(load_experiment(args.config))
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(format_results_csv(result))
+    with open(args.out, "wb") as fh:
+        fh.write(format_results_csv(result).encode("ascii"))
     print(f"statistic={result.statistic} trials={result.trials} seed={result.seed}")
     print(f"empirical_mean_max={result.empirical_mean_max:.17g}")
     check = result.expectation

@@ -17,7 +17,9 @@ import numpy as np
 from .algebra import hermitian_dilation, matricize, matricize_general, unmatricize
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
 from .tensor import (
+    DEFAULT_TOL,
     Tensor,
+    _close,
     _computed,
     _require_finite_result,
     apply_power_map,
@@ -75,19 +77,14 @@ class EinsteinEVD:
 def sym_eig(mat) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix by LAPACK ``eigh``.
 
-    The input must be finite and symmetric within 1e-12 (scaled by its
-    largest entry and size); its symmetric part is decomposed, and a
+    The input must pass ``_matrix_stack`` and be symmetric by the
+    closeness rule ``tensor._close`` at DEFAULT_TOL, the rule of
+    ``is_e_symmetric``; its symmetric part is decomposed, and a
     symmetric part or eigenvalue that overflows is a NumericalError.
     Eigenvalues come back descending with a stable tie order.
     """
-    m = np.asarray(mat, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NumericalError("matrix has non-finite entries")
-    with np.errstate(over="ignore"):  # an overflowing defect is inf: refused
-        defect = np.abs(m - m.T).max(initial=0.0)
-    if defect > 1e-12 * max(1.0, np.abs(m).max(initial=0.0)) * m.shape[0]:
+    m = _matrix_stack(mat, ndim=2, square=True)
+    if not _close(m, m.T, DEFAULT_TOL):  # an overflowing defect reads False
         raise SymmetryError("matrix is not symmetric within tolerance")
     try:
         values, vectors = np.linalg.eigh(_symmetric_part(m))
@@ -103,22 +100,21 @@ def sym_eigvals(mats) -> np.ndarray:
     along the last axis.
 
     The batched counterpart of ``sym_eig`` for callers that have checked
-    symmetry: the symmetric part of each matrix is solved in one LAPACK
-    call.  Non-finite entries, or a symmetric part or eigenvalue that
-    overflows, are a NumericalError.
+    symmetry: the symmetric part of each matrix of a stack that passes
+    ``_matrix_stack`` is solved in one LAPACK call.  A symmetric part or
+    eigenvalue that overflows is a NumericalError.
     """
     try:
-        values = np.linalg.eigvalsh(_symmetric_part(_matrix_stack(mats)))
+        values = np.linalg.eigvalsh(_symmetric_part(_matrix_stack(mats, square=True)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
     return _require_finite_result(values, "eigenvalues")
 
 
 def top_singular_values(mats) -> np.ndarray:
-    """Largest singular value of each matrix in a finite (B, r, c) stack;
-    one that overflows is a NumericalError."""
+    """Largest singular value of each matrix in a (B, r, c) stack that
+    passes ``_matrix_stack``; one that overflows is a NumericalError."""
     m = _matrix_stack(mats)
-    _require_finite(m)
     try:
         top = np.linalg.svd(m, compute_uv=False)[:, 0]
     except np.linalg.LinAlgError as exc:
@@ -126,30 +122,24 @@ def top_singular_values(mats) -> np.ndarray:
     return _require_finite_result(top, "singular values")
 
 
-def _matrix_stack(mats) -> np.ndarray:
+def _matrix_stack(mats, ndim: int = 3, square: bool = False) -> np.ndarray:
+    """``mats`` as float64, the one input check of the solvers: ``ndim``
+    axes (2 for one matrix, 3 for a stack), square matrices when
+    ``square``, else a ShapeError; a non-finite entry is a NumericalError."""
     m = np.asarray(mats, dtype=np.float64)
-    if m.ndim != 3:
-        raise ShapeError(f"expected a stack of matrices, got shape {m.shape}")
+    if m.ndim != ndim or (square and m.shape[-1] != m.shape[-2]):
+        shape = "(n, n)" if ndim == 2 else "(B, n, n)" if square else "(B, r, c)"
+        raise ShapeError(f"expected shape {shape}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise NumericalError("matrix has non-finite entries")
     return m
 
 
-def _require_finite(m: np.ndarray) -> None:
-    if not np.isfinite(m).all():
-        raise NumericalError("matrix stack has non-finite entries")
-
-
 def _symmetric_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 of each matrix of a stack; non-finite entries, or a
-    sum that overflows, are a NumericalError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sym = m + np.swapaxes(m, -1, -2)
-    if not np.isfinite(sym).all():
-        _require_finite(m)
-        raise NumericalError(
-            "the symmetric part of a matrix overflowed to a non-finite value"
-        )
-    sym /= 2.0
-    return sym
+    """(M + M^T) / 2 of each finite matrix of a stack; a sum that
+    overflows is a NumericalError."""
+    return _computed("the symmetric part of a matrix",
+                     lambda: (m + np.swapaxes(m, -1, -2)) / 2.0)
 
 
 def _require_e_symmetric(t: Tensor) -> None:

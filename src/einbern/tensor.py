@@ -226,11 +226,13 @@ def _close(a, b, tol: float, axis=None, scale=None):
     ``axis`` (all axes by default).  A caller that knows that maximum, as
     when b rearranges the entries of a, passes it as ``scale``.  A
     non-finite entry, or a difference that overflows, reads False, and no
-    numpy warning is raised."""
+    numpy warning is raised; empty arrays are close."""
     with np.errstate(over="ignore", invalid="ignore"):
         if scale is None:
-            scale = np.maximum(np.abs(a).max(axis=axis), np.abs(b).max(axis=axis))
-        return (np.abs(a - b).max(axis=axis) <= tol * scale) & np.isfinite(scale)
+            scale = np.maximum(np.abs(a).max(axis=axis, initial=0.0),
+                               np.abs(b).max(axis=axis, initial=0.0))
+        diff = np.abs(a - b).max(axis=axis, initial=0.0)
+        return (diff <= tol * scale) & np.isfinite(scale)
 
 
 def is_e_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:

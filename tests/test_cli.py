@@ -665,7 +665,9 @@ class TestBlasThreadPolicy:
 
 
 def test_bound_and_simulate_load_neither_numpy_random_nor_verify(tmp_path):
-    # nor argparse, gettext or locale, which argparse loads to build a parser
+    # nor argparse, gettext or locale, which argparse loads to build a parser;
+    # and the commands themselves load no text codec: each CSV is written as
+    # ASCII bytes, where a text file opened as "ascii" imports encodings.ascii
     demo = TestShippedDemos.demo_dir
     model = json.loads((demo / "model_odd.json").read_text())
     del model["schema"]
@@ -684,11 +686,13 @@ def test_bound_and_simulate_load_neither_numpy_random_nor_verify(tmp_path):
     proc = run_python("-c", (
         "import sys\n"
         "from einbern.cli import main\n"
+        "before = set(sys.modules)\n"
         f"print([main(argv) for argv in {runs!r}])\n"
         "print([m for m in ('numpy.random', 'einbern.verify', 'argparse', 'gettext',"
-        " 'locale') if m in sys.modules])"))
+        " 'locale') if m in sys.modules])\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('encodings')))"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0, 0]", "[]"]
+    assert proc.stdout.splitlines()[-3:] == ["[0, 0, 0, 0]", "[]", "[]"]
 
 
 def test_overflowing_grid_span_exits_2_without_warnings(tmp_path):
@@ -874,6 +878,17 @@ class TestShippedDemos:
         out = tmp_path / "results.csv"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         assert "expectation_verdict=pass" in capsys.readouterr().out
+
+    def test_demo_subsample_experiment_passes(self, tmp_path, capsys):
+        # the subsample law's trials, and their sigma_max statistic
+        config = self.demo_dir / "experiment_subsample.json"
+        out = tmp_path / "results.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("statistic=gen_spectral_norm trials=2000 ")
+        assert "expectation_verdict=pass" in captured.out
+        assert captured.out.endswith("tail_verdicts=11/11 pass\n")
+        assert captured.err == ""
 
     def test_demo_models_report(self, tmp_path, capsys):
         even = self.demo_dir / "model_even.json"

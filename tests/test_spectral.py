@@ -31,6 +31,7 @@ from einbern import (
     identity_tensor,
     is_e_pd,
     is_e_psd,
+    is_e_symmetric,
     matricize,
     matricize_general,
     outer_power,
@@ -91,6 +92,14 @@ class TestSymEig:
         with pytest.raises(SymmetryError):
             sym_eig(np.array([[0.0, 1e308], [-1e308, 0.0]]))
 
+    def test_symmetry_is_judged_by_the_closeness_rule(self):
+        # a defect of 1e-13 at entries of 1e-3 is 1e-10 of the largest
+        # entry: refused, as is_e_symmetric refuses it
+        m = np.array([[1e-3, 1e-13], [0.0, 1e-3]])
+        assert not is_e_symmetric(Tensor((2, 2), m.reshape(-1, order="F")))
+        with pytest.raises(SymmetryError):
+            sym_eig(m)
+
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             sym_eig(np.zeros((2, 3)))
@@ -98,6 +107,7 @@ class TestSymEig:
     def test_zero_matrix(self):
         dec = sym_eig(np.zeros((3, 3)))
         assert np.array_equal(dec.values, np.zeros(3))
+        assert sym_eig(np.zeros((0, 0))).values.shape == (0,)
 
     def test_rejects_nan(self):
         # NaN compares False against the symmetry tolerance, so it must be
@@ -166,7 +176,7 @@ class TestEinsteinSpectrum:
         iden = identity_tensor(2, 2)
         utu = einstein_product(transpose_even(dec.u), dec.u)
         assert utu.allclose(iden, 1e-12)
-        from einbern import is_diagonal, is_e_symmetric
+        from einbern import is_diagonal
 
         assert is_diagonal(dec.diag, 1e-14) and is_e_symmetric(dec.diag, 1e-14)
 
@@ -392,14 +402,26 @@ class TestBatchedSpectra:
         for t, value in zip(tensors, got):
             assert value == pytest.approx(gen_spectral_norm(t), rel=1e-12)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_stack_is_numerical_error(self, bad):
+        # every solver refuses it with the one message of _matrix_stack
         mats = np.zeros((3, 2, 2))
         mats[1, 0, 0] = bad
-        with pytest.raises(NumericalError):
-            sym_eigvals(mats)
-        with pytest.raises(NumericalError):
-            top_singular_values(mats)
+        for solve, arg in ((sym_eig, mats[1]), (sym_eigvals, mats),
+                           (top_singular_values, mats)):
+            with pytest.raises(NumericalError, match="^matrix has non-finite entries$"):
+                solve(arg)
+
+    def test_shape_errors(self):
+        # non-square stacks reach no LAPACK call, whose ValueError would leak
+        with pytest.raises(ShapeError):
+            sym_eigvals(np.zeros((2, 2, 3)))
+        with pytest.raises(ShapeError):
+            sym_eigvals(np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            top_singular_values(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            sym_eig(np.zeros((1, 2, 2)))
 
     def test_overflowing_results_are_numerical_errors(self):
         # finite and symmetric, with a top eigenvalue and singular value
@@ -411,6 +433,29 @@ class TestBatchedSpectra:
             sym_eigvals(mat[None])
         with pytest.raises(NumericalError, match="singular values overflowed"):
             top_singular_values(mat[None])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    log_scale=st.floats(-6.0, 6.0),
+    log_noise=st.floats(-13.0, -11.0),
+)
+def test_sym_eig_refuses_exactly_what_is_e_symmetric_refuses(seed, n, log_scale, log_noise):
+    # a symmetric matrix at scale 1e-6 to 1e6 plus antisymmetric noise of
+    # relative size around DEFAULT_TOL, so both sides of the rule occur
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    k = rng.standard_normal((n, n))
+    m = 10.0**log_scale * ((a + a.T) / 2 + 10.0**log_noise * (k - k.T) / 2)
+    symmetric = is_e_symmetric(Tensor((n, n), m.reshape(-1, order="F")))
+    try:
+        sym_eig(m)
+    except SymmetryError:
+        assert not symmetric
+    else:
+        assert symmetric
 
 
 # ordinary entries, and entries at the float limits: 1e154 squares to
