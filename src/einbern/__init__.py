@@ -34,7 +34,6 @@ from .algebra import (
 )
 from .bounds import (
     BernsteinReport,
-    GeneralVariance,
     Rademacher,
     Subsample,
     SumModel,
@@ -44,7 +43,6 @@ from .bounds import (
     format_tail_csv,
     intrinsic_report,
     resolve_theorem,
-    tail_bound,
     uniform_bound_L,
     variance_general,
 )

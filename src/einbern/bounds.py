@@ -34,7 +34,6 @@ __all__ = [
     "Rademacher",
     "Subsample",
     "SumModel",
-    "GeneralVariance",
     "TailBound",
     "THEOREMS",
     "BernsteinReport",
@@ -42,7 +41,6 @@ __all__ = [
     "stack_statistics",
     "uniform_bound_L",
     "variance_general",
-    "tail_bound",
     "intrinsic_report",
     "resolve_theorem",
     "build_report",
@@ -301,25 +299,9 @@ def _gram(model: SumModel, rows: np.ndarray, k: int) -> Tensor:
     return model.law.scale(len(model.stack)) * gram
 
 
-@dataclass(frozen=True)
-class GeneralVariance:
-    """Variance statistics of the general bound.
-
-    ``outer``/``inner`` are the exact sums of expected trailing-mode and
-    leading-mode self-products; ``nu`` is the larger of their norms,
-    solved on first use: the intrinsic bound never needs it.
-    """
-
-    outer: Tensor
-    inner: Tensor
-
-    @cached_property
-    def nu(self) -> float:
-        return max(e_spectral_norm(self.outer), e_spectral_norm(self.inner))
-
-
-def variance_general(model: SumModel) -> GeneralVariance:
-    """Exact variance statistics for tensors of any order.
+def variance_general(model: SumModel) -> tuple:
+    """Exact variance statistics (outer, inner) for tensors of any order:
+    the sums of expected trailing-mode and leading-mode self-products.
 
     Independence and zero means make cross terms vanish, so summing the
     per-component second moments is exact, with the subsampling scale
@@ -329,49 +311,13 @@ def variance_general(model: SumModel) -> GeneralVariance:
     """
     order, d, m = model.order, model.dim, model.split
     # the columns of H are the length-d**m rows of the reshaped stack
-    return GeneralVariance(
-        outer=_gram(model, model.stack, m),
-        inner=_gram(model, matricize_rows(model.stack, order, d), order - m),
-    )
+    return (_gram(model, model.stack, m),
+            _gram(model, matricize_rows(model.stack, order, d), order - m))
 
 
 class TailBound(NamedTuple):
     raw: float
     clamped: float
-
-
-def tail_bound(t: float, nu: float, L: float, dim_factor: float) -> TailBound:
-    """Tail probability bound dim_factor * exp(-t^2/2 / (nu + L t / 3)).
-
-    The raw value can exceed 1; the clamped value is capped there for
-    reporting.  A deterministic zero sum (nu = L = 0) has zero tail for
-    every positive t.  Where t^2 or the denominator overflows, the same
-    exponent is evaluated as t/2 / (nu/t + L/3).
-    """
-    if not all(math.isfinite(x) for x in (t, nu, L, dim_factor)):
-        raise DomainError(
-            f"tail bound arguments must be finite, got t={t}, nu={nu}, "
-            f"L={L}, dim_factor={dim_factor}"
-        )
-    if t < 0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if nu < 0 or L < 0:
-        raise DomainError("nu and L must be nonnegative")
-    if dim_factor < 0:
-        raise DomainError(f"dim_factor must be nonnegative, got {dim_factor}")
-    if t == 0.0:
-        raw = float(dim_factor)
-    elif nu == 0.0 and L == 0.0:
-        raw = 0.0
-    else:
-        square, denom = t * t, nu + L * t / 3.0
-        if math.isfinite(square) and math.isfinite(denom):
-            exponent = square / 2.0 / denom
-        else:
-            slope = nu / t + L / 3.0
-            exponent = 0.5 * t / slope if slope > 0.0 else math.inf
-        raw = float(dim_factor) * math.exp(-exponent)
-    return TailBound(raw=raw, clamped=min(1.0, raw))
 
 
 @dataclass(frozen=True)
@@ -458,13 +404,37 @@ class BernsteinReport:
         return t >= self.tail_domain_min - 1e-12
 
     def tail(self, t: float) -> TailBound:
-        # a non-finite t is refused by tail_bound, not by the domain
-        if math.isfinite(t) and not self.in_domain(t):
+        """Tail probability bound tail_factor * exp(-t^2/2 / (nu + L t / 3)).
+
+        The raw value can exceed 1; the clamped value is capped there for
+        reporting.  A deterministic zero sum (nu = L = 0) has zero tail for
+        every positive t.  Where t^2 or the denominator overflows, or the
+        denominator underflows to zero, the same exponent is evaluated as
+        t/2 / (nu/t + L/3).
+        """
+        if not math.isfinite(t):
+            raise DomainError(f"t must be finite, got {t}")
+        if not self.in_domain(t):
             raise DomainError(
                 f"t={t} is below the bound's validity threshold "
                 f"{self.tail_domain_min}"
             )
-        return tail_bound(t, self.nu, self.L, self.tail_factor)
+        if t < 0:
+            raise DomainError(f"t must be nonnegative, got {t}")
+        nu, L = self.nu, self.L
+        if t == 0.0:
+            raw = self.tail_factor
+        elif nu == 0.0 and L == 0.0:
+            raw = 0.0
+        else:
+            square, denom = t * t, nu + L * t / 3.0
+            if math.isfinite(square) and 0.0 < denom < math.inf:
+                exponent = square / 2.0 / denom
+            else:
+                slope = nu / t + L / 3.0
+                exponent = 0.5 * t / slope if slope > 0.0 else math.inf
+            raw = self.tail_factor * math.exp(-exponent)
+        return TailBound(raw=raw, clamped=min(1.0, raw))
 
 
 def _check_e_psd(t: Tensor, problem: str, scale=None) -> np.ndarray:
@@ -494,8 +464,6 @@ def intrinsic_report(
     against trace/norm of the block matrix assembled from the two
     unfoldings.
     """
-    if L < 0:
-        raise DomainError("L must be nonnegative")
     vals_outer = _check_e_psd(v_outer, "outer variance bound must be E-PSD")
     vals_inner = _check_e_psd(v_inner, "inner variance bound must be E-PSD")
     dominates = "variance bound does not dominate the exact variance statistic"
@@ -553,10 +521,11 @@ def build_report(model: SumModel, theorem: str = "auto") -> BernsteinReport:
         # squares are the general bound's outer Gram sum
         nu = e_spectral_norm(_gram(model, model.stack, model.split))
         return BernsteinReport("even", model.order, model.dim, L, nu)
-    gv = variance_general(model)
+    outer, inner = variance_general(model)
     if theorem == "general":
-        return BernsteinReport("general", model.order, model.dim, L, gv.nu)
-    return intrinsic_report(gv.outer, gv.inner, L)
+        nu = max(e_spectral_norm(outer), e_spectral_norm(inner))
+        return BernsteinReport("general", model.order, model.dim, L, nu)
+    return intrinsic_report(outer, inner, L)
 
 
 def format_report(report: BernsteinReport) -> str:

@@ -125,11 +125,14 @@ def top_singular_values(mats) -> np.ndarray:
 def _matrix_stack(mats, ndim: int = 3, square: bool = False) -> np.ndarray:
     """``mats`` as float64, the one input check of the solvers: ``ndim``
     axes (2 for one matrix, 3 for a stack), square matrices when
-    ``square``, else a ShapeError; a non-finite entry is a NumericalError."""
+    ``square``, and a stack's matrices at least one row and column, else
+    a ShapeError; a non-finite entry is a NumericalError."""
     m = np.asarray(mats, dtype=np.float64)
     if m.ndim != ndim or (square and m.shape[-1] != m.shape[-2]):
         shape = "(n, n)" if ndim == 2 else "(B, n, n)" if square else "(B, r, c)"
         raise ShapeError(f"expected shape {shape}, got {m.shape}")
+    if ndim == 3 and 0 in m.shape[1:]:
+        raise ShapeError(f"expected shape (B, r, c) with r, c >= 1, got {m.shape}")
     if not np.isfinite(m).all():
         raise NumericalError("matrix has non-finite entries")
     return m

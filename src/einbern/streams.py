@@ -252,9 +252,6 @@ class TrialDraws:
         if not 0 <= start <= stop <= 1 << 32:
             # a larger index is two entropy words, not one
             raise ValueError(f"trial indices must be below 2^32, got {start}..{stop}")
-        if self.bound == 1:
-            # integers(0, 1) returns zeros and consumes no output
-            return np.zeros((stop - start, self.count), np.int64)
         trials = np.arange(start, stop, dtype=np.uint32)
         state, inc = _seeded(self._seed_words + [trials])
         out, end = _outputs(state, inc, (self.count + 1) // 2)

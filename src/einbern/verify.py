@@ -434,9 +434,12 @@ def _prop_counterexample(rng, seed, cases):
 
 @_property("bounds", "closed-form-spot-values", tol=1e-15)
 def _prop_formula_spot_values(rng, seed, cases):
-    def mean(*args):
-        return bounds.BernsteinReport(*args).expectation_bound
+    report = bounds.BernsteinReport
 
+    def mean(*args):
+        return report(*args).expectation_bound
+
+    # general N=1, d=1 has D = 2; general N=2, d=2 has D = 4
     checks = [
         (mean("even", 2, 2, 0.0, 1.0), math.sqrt(2 * math.log(2))),
         (
@@ -447,9 +450,9 @@ def _prop_formula_spot_values(rng, seed, cases):
             mean("general", 3, 2, 1.0, 1.0),
             math.sqrt(2 * math.log(6)) + math.log(6) / 3,
         ),
-        (bounds.tail_bound(2, 1, 0, 2).raw, 2 * math.exp(-2)),
-        (bounds.tail_bound(0, 1, 1, 4).raw, 4.0),
-        (bounds.tail_bound(1, 0, 0, 4).raw, 0.0),
+        (report("general", 1, 1, 0.0, 1.0).tail(2.0).raw, 2 * math.exp(-2)),
+        (report("general", 2, 2, 1.0, 1.0).tail(0.0).raw, 4.0),
+        (report("general", 2, 2, 0.0, 0.0).tail(1.0).raw, 0.0),
     ]
     for got, want in checks:
         yield abs(got - want)
@@ -457,15 +460,19 @@ def _prop_formula_spot_values(rng, seed, cases):
 
 @_property("bounds", "tail-monotonicity")
 def _prop_tail_monotonicity(rng, seed, cases):
-    # the comparisons are written so that a NaN bound fails them
+    # the comparisons are written so that a NaN bound fails them; each
+    # report is general N=2, d=2, whose tail factor is 4
+    def raw(t, nu, L):
+        return bounds.BernsteinReport("general", 2, 2, L, nu).tail(t).raw
+
     ts = np.linspace(0.0, 5.0, 26)
     for nu, L in [(0.5, 0.0), (1.0, 1.0), (2.0, 0.3)]:
-        raws = [bounds.tail_bound(float(t), nu, L, 4.0).raw for t in ts]
+        raws = [raw(float(t), nu, L) for t in ts]
         if not all(b < a for a, b in zip(raws, raws[1:])):
             raise _Failed("not decreasing in t")
     for t in (0.5, 1.0, 2.0):
-        by_nu = [bounds.tail_bound(t, nu, 0.5, 4.0).raw for nu in (0.1, 0.5, 1.0, 2.0)]
-        by_l = [bounds.tail_bound(t, 0.5, L, 4.0).raw for L in (0.0, 0.5, 1.0, 2.0)]
+        by_nu = [raw(t, nu, 0.5) for nu in (0.1, 0.5, 1.0, 2.0)]
+        by_l = [raw(t, 0.5, L) for L in (0.0, 0.5, 1.0, 2.0)]
         if not all(b > a for a, b in zip(by_nu, by_nu[1:])) or not all(
             b > a for a, b in zip(by_l, by_l[1:])
         ):
@@ -512,7 +519,7 @@ def _prop_variance_matricized(rng, seed, cases):
         d = int(rng.integers(2, 4))
         comps = [tensor.random_tensor(rng, (d,) * n) for _ in range(5)]
         model = bounds.SumModel.rademacher(comps)
-        gv = bounds.variance_general(model)
+        nu = bounds.build_report(model, "general").nu
         mats = [algebra.matricize_general(c) for c in comps]
         m1 = sum(m @ m.T for m in mats)
         m2 = sum(m.T @ m for m in mats)
@@ -520,7 +527,7 @@ def _prop_variance_matricized(rng, seed, cases):
             float(np.abs(np.linalg.eigvalsh(m1)).max()),
             float(np.abs(np.linalg.eigvalsh(m2)).max()),
         )
-        yield abs(gv.nu - nu_mat) / max(1.0, nu_mat)
+        yield abs(nu - nu_mat) / max(1.0, nu_mat)
 
 
 @_property("bounds", "intrinsic-dimension-identity", salt=42, tol=1e-12)
@@ -530,11 +537,11 @@ def _prop_intrinsic_identity(rng, seed, cases):
         d = int(rng.integers(2, 4))
         comps = [tensor.random_tensor(rng, (d,) * n) for _ in range(3)]
         model = bounds.SumModel.rademacher(comps)
-        gv = bounds.variance_general(model)
-        report = bounds.intrinsic_report(gv.outer, gv.inner, 1.0)
+        outer, inner = bounds.variance_general(model)
+        report = bounds.intrinsic_report(outer, inner, 1.0)
         m = model.split
-        fo = algebra.matricize(gv.outer).T
-        fi = algebra.matricize(gv.inner)
+        fo = algebra.matricize(outer).T
+        fi = algebra.matricize(inner)
         block = np.zeros((fo.shape[0] + fi.shape[0],) * 2)
         block[: fo.shape[0], : fo.shape[1]] = fo
         block[fo.shape[0] :, fo.shape[1] :] = fi

@@ -288,11 +288,11 @@ def test_criterion_8_intrinsic_dimension_identities():
         count = int(rng.integers(2, 6))
         comps = [random_tensor(rng, (d,) * n) for _ in range(count)]
         model = SumModel.rademacher(comps)
-        gv = variance_general(model)
-        report = intrinsic_report(gv.outer, gv.inner, 1.0)
+        outer, inner = variance_general(model)
+        report = intrinsic_report(outer, inner, 1.0)
         m = model.split
-        fo = matricize(gv.outer).T
-        fi = matricize(gv.inner)
+        fo = matricize(outer).T
+        fi = matricize(inner)
         block = np.zeros((fo.shape[0] + fi.shape[0],) * 2)
         block[: fo.shape[0], : fo.shape[1]] = fo
         block[fo.shape[0] :, fo.shape[1] :] = fi

@@ -32,7 +32,6 @@ from einbern import (
     random_e_symmetric,
     random_tensor,
     resolve_theorem,
-    tail_bound,
     transpose_even,
     uniform_bound_L,
     variance_general,
@@ -294,7 +293,7 @@ class TestVarianceEven:
         rng = np.random.default_rng(10)
         pop = [random_e_symmetric(rng, 1, 2) for _ in range(6)]
         model = SumModel.subsample(pop, 3)
-        moment = variance_general(model).outer
+        moment, _ = variance_general(model)
         oracle = (6 / 3) * sum(
             matricize(c) @ matricize(c) for c in model.components
         )
@@ -319,9 +318,10 @@ def test_every_nu_is_formed_from_one_gram_sum(order, dim, count, law, sample_siz
     if law == "subsample":
         doc["sample_size"] = sample_size
     model = model_from_dict(doc)
-    gv = variance_general(model)
-    assert build_report(model, "even").nu == spectral.e_spectral_norm(gv.outer)
-    assert build_report(model, "general").nu == gv.nu
+    outer, inner = variance_general(model)
+    norms = spectral.e_spectral_norm(outer), spectral.e_spectral_norm(inner)
+    assert build_report(model, "even").nu == norms[0]
+    assert build_report(model, "general").nu == max(norms)
 
 
 class TestVarianceGeneral:
@@ -329,18 +329,18 @@ class TestVarianceGeneral:
         rng = np.random.default_rng(11)
         vecs = [random_tensor(rng, (4,)) for _ in range(5)]
         model = SumModel.rademacher(vecs)
-        gv = variance_general(model)
+        _, inner = variance_general(model)
         m1 = sum(np.outer(v.data, v.data) for v in vecs)
         inner_total = sum(float(v.data @ v.data) for v in vecs)
         oracle = max(float(np.linalg.eigvalsh(m1)[-1]), inner_total)
-        assert gv.nu == pytest.approx(oracle, rel=1e-12)
-        assert gv.inner.item() == pytest.approx(inner_total, rel=1e-12)
+        assert build_report(model, "general").nu == pytest.approx(oracle, rel=1e-12)
+        assert inner.item() == pytest.approx(inner_total, rel=1e-12)
 
     def test_coincides_with_even_for_symmetric(self):
         rng = np.random.default_rng(12)
         comps = [random_e_symmetric(rng, 2, 2) for _ in range(4)]
         model = SumModel.rademacher(comps)
-        assert variance_general(model).nu == pytest.approx(
+        assert build_report(model, "general").nu == pytest.approx(
             build_report(model, "even").nu, rel=1e-12
         )
 
@@ -348,17 +348,17 @@ class TestVarianceGeneral:
         rng = np.random.default_rng(13)
         comps = [random_tensor(rng, (2, 2, 2)) for _ in range(5)]
         model = SumModel.rademacher(comps)
-        gv = variance_general(model)
+        outer, inner = variance_general(model)
         mats = [matricize_general(c) for c in comps]
         m1 = sum(m @ m.T for m in mats)
         m2 = sum(m.T @ m for m in mats)
-        assert np.abs(matricize(gv.outer) - m1).max() <= 1e-12 * np.abs(m1).max()
-        assert np.abs(matricize(gv.inner) - m2).max() <= 1e-12 * np.abs(m2).max()
+        assert np.abs(matricize(outer) - m1).max() <= 1e-12 * np.abs(m1).max()
+        assert np.abs(matricize(inner) - m2).max() <= 1e-12 * np.abs(m2).max()
         nu_mat = max(
             float(np.abs(np.linalg.eigvalsh(m1)).max()),
             float(np.abs(np.linalg.eigvalsh(m2)).max()),
         )
-        assert gv.nu == pytest.approx(nu_mat, rel=1e-12)
+        assert build_report(model, "general").nu == pytest.approx(nu_mat, rel=1e-12)
 
 
 def mean_bound(theorem, order, dim, L, nu):
@@ -400,54 +400,69 @@ class TestClosedForms:
         )
 
     def test_tail_hand_values(self):
-        raw, clamped = tail_bound(2, 1, 0, 2)
+        # general N=1, d=1 has D = 2; general N=2, d=2 has D = 4
+        raw, clamped = BernsteinReport("general", 1, 1, 0.0, 1.0).tail(2.0)
         assert raw == pytest.approx(2 * math.exp(-2), rel=1e-15)
         assert clamped == raw
-        raw0, clamped0 = tail_bound(0, 1, 1, 4)
+        raw0, clamped0 = BernsteinReport("general", 2, 2, 1.0, 1.0).tail(0.0)
         assert (raw0, clamped0) == (4.0, 1.0)
-        assert tail_bound(1.5, 0, 0, 4) == (0.0, 0.0)
+        assert BernsteinReport("general", 2, 2, 0.0, 0.0).tail(1.5) == (0.0, 0.0)
 
     def test_tail_domain(self):
-        with pytest.raises(DomainError):
-            tail_bound(-0.1, 1, 1, 2)
+        # below the threshold, then negative but inside its 1e-12 of slack
+        report = BernsteinReport("general", 2, 2, 1.0, 1.0)
+        with pytest.raises(DomainError,
+                           match="^t=-0.1 is below the bound's validity threshold 0.0$"):
+            report.tail(-0.1)
+        with pytest.raises(DomainError, match="^t must be nonnegative, got -1e-13$"):
+            report.tail(-1e-13)
 
     @pytest.mark.parametrize("args", [
-        (math.nan, 1, 1, 2), (math.inf, 1, 1, 2), (1, math.nan, 1, 2),
-        (1, 1, math.inf, 2), (1, 1, 1, math.nan),
-        # a negative factor; a report's tail at t = NaN, which is refused
-        # as non-finite before the validity threshold is applied
-        (1.0, 1.0, 1.0, -3.0), (math.nan,),
+        # (theorem, N, d, L, nu, dv, t): a non-finite t is refused before
+        # the validity threshold is applied
+        ("general", 2, 2, 1.0, 1.0, None, math.nan),
+        ("general", 2, 2, 1.0, 1.0, None, math.inf),
+        ("general", 2, 2, 1.0, 1.0, None, -math.inf),
+        ("intrinsic", 3, 2, 1.0, 1.0, 3.0, math.nan),
     ])
     def test_tail_rejects_non_finite(self, args):
-        tail = tail_bound
-        if len(args) == 1:
-            tail = BernsteinReport("intrinsic", 3, 2, 1.0, 1.0, 3.0).tail
-        with pytest.raises(DomainError, match="must be (finite|nonnegative)"):
-            tail(*args)
+        *fields, t = args
+        with pytest.raises(DomainError, match=f"^t must be finite, got {t}$"):
+            BernsteinReport(*fields).tail(t)
 
     def test_tail_monotonicity(self):
+        def raw(t, nu, L):
+            return BernsteinReport("general", 2, 2, L, nu).tail(t).raw
+
         ts = np.linspace(0, 6, 31)
-        raws = [tail_bound(float(t), 1.0, 0.5, 4.0).raw for t in ts]
+        raws = [raw(float(t), 1.0, 0.5) for t in ts]
         assert all(b < a for a, b in zip(raws, raws[1:]))
-        by_nu = [tail_bound(1.0, nu, 0.5, 4.0).raw for nu in (0.1, 0.5, 1.0, 2.0)]
-        by_l = [tail_bound(1.0, 0.5, L, 4.0).raw for L in (0.0, 0.5, 1.0, 2.0)]
+        by_nu = [raw(1.0, nu, 0.5) for nu in (0.1, 0.5, 1.0, 2.0)]
+        by_l = [raw(1.0, 0.5, L) for L in (0.0, 0.5, 1.0, 2.0)]
         assert all(b > a for a, b in zip(by_nu, by_nu[1:]))
         assert all(b > a for a, b in zip(by_l, by_l[1:]))
 
     def test_tail_where_t_squared_or_denominator_overflows(self):
         # L = 7e153 and nu = 4.9e307: t^2 overflows from t = 1.35e154
-        # on, and nu + L t / 3 from about 2.2e154
+        # on, and nu + L t / 3 from about 2.2e154; an intrinsic report
+        # with dv = 2.25 has tail factor 9 and no mean bound to overflow
         nu, L = 7e153**2, 7e153
+        report = BernsteinReport("intrinsic", 3, 2, L, nu, 2.25)
         for t, want in [(1e154, 4.508571387013774), (2e154, 1.1125250401905946),
                         (3e154, 0.20509376222406822)]:
-            assert tail_bound(t, nu, L, 9).raw == pytest.approx(want, rel=1e-12)
+            assert report.tail(t).raw == pytest.approx(want, rel=1e-12)
+        # general N=2, d=2 has tail factor 4
         grid = np.linspace(0.0, 1.7e308, 1001)
         for nu, L in [(7e153**2, 7e153), (46.9, 1.96), (1.0, 0.0), (0.0, 1.0)]:
-            raws = [tail_bound(float(t), nu, L, 4).raw for t in grid]
+            report = BernsteinReport("general", 2, 2, L, nu)
+            raws = [report.tail(float(t)).raw for t in grid]
             assert not any(math.isnan(r) for r in raws)
             assert all(b <= a for a, b in zip(raws, raws[1:]))
+        # nu = 0 and nu + L t / 3 underflows to zero: t/2 / (L/3) = 15
+        report = BernsteinReport("general", 2, 2, 1e-170, 0.0)
+        assert report.tail(1e-169).raw == pytest.approx(4 * math.exp(-15), rel=1e-12)
         # nu / t underflows to zero: the exponent is infinite
-        assert tail_bound(1e200, 1e-320, 0.0, 4).raw == 0.0
+        assert BernsteinReport("general", 2, 2, 0.0, 1e-320).tail(1e200).raw == 0.0
 
     def test_matrix_factor_reduction(self):
         # for order 2 the general factor d**m + d**(N-m) is 2d
@@ -487,10 +502,10 @@ class TestIntrinsicReport:
         rng = np.random.default_rng(16)
         comps = [random_tensor(rng, (3, 3, 3)) for _ in range(4)]
         model = SumModel.rademacher(comps)
-        gv = variance_general(model)
-        report = intrinsic_report(gv.outer, gv.inner, 1.0)
-        fo = matricize(gv.outer).T
-        fi = matricize(gv.inner)
+        outer, inner = variance_general(model)
+        report = intrinsic_report(outer, inner, 1.0)
+        fo = matricize(outer).T
+        fi = matricize(inner)
         block = np.zeros((fo.shape[0] + fi.shape[0],) * 2)
         block[: fo.shape[0], : fo.shape[1]] = fo
         block[fo.shape[0] :, fo.shape[1] :] = fi
@@ -677,6 +692,20 @@ class TestDerivedReportFields:
         for dv in (-1.0, 0.0, math.nan):
             with pytest.raises(NumericalError, match="not positive"):
                 BernsteinReport("intrinsic", 3, 2, 1.0, 1.0, dv)
+        # a non-finite L or nu is a numerical failure, a negative one a
+        # domain error, under each theorem
+        for theorem, order, dim, dv in [("even", 2, 2, None), ("general", 3, 2, None),
+                                        ("intrinsic", 3, 2, 1.0)]:
+            for bad in (math.nan, math.inf, -math.inf):
+                for L, nu in [(bad, 1.0), (1.0, bad)]:
+                    with pytest.raises(NumericalError, match="non-finite bound quantity"):
+                        BernsteinReport(theorem, order, dim, L, nu, dv)
+            for L, nu in [(-1.0, 1.0), (1.0, -1.0)]:
+                with pytest.raises(DomainError, match="nu and L must be nonnegative"):
+                    BernsteinReport(theorem, order, dim, L, nu, dv)
+        v = identity_tensor(2, 2)
+        with pytest.raises(DomainError, match="nu and L must be nonnegative"):
+            intrinsic_report(v, v, -1.0)
         # 3**650 does not fit a float, so no dimensional factor is formed
         for theorem, dv in [("general", None), ("even", None), ("intrinsic", 1.0)]:
             with pytest.raises(NumericalError, match="dimensional factor"):
@@ -762,3 +791,14 @@ def test_report_fields_are_their_closed_forms(theorem, order, dim, count, L, nu,
             math.sqrt(2.0 * nu * log_dim) + L * log_dim / 3.0
         )
         assert report.tail_domain_min == 0.0
+    # the tail is its closed form to the bit, from the threshold on
+    edge = report.tail_domain_min
+    for t in (edge, edge + 1.0, 10.0 * (math.sqrt(nu) + L)):
+        denom = nu + L * t / 3.0
+        if t == 0.0 or nu == L == 0.0:  # the factor at 0; a zero sum has no tail
+            want = report.tail_factor if t == 0.0 else 0.0
+        elif denom > 0.0:
+            want = report.tail_factor * math.exp(-(t * t / 2.0 / denom))
+        else:  # nu = 0 and a tiny L t underflow the denominator
+            want = report.tail_factor * math.exp(-(0.5 * t / (nu / t + L / 3.0)))
+        assert report.tail(t).raw == want

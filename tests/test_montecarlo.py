@@ -97,7 +97,7 @@ class TestSampleSum:
         rng = np.random.default_rng(4)
         comps = [random_tensor(rng, (2, 2, 2)) for _ in range(4)]
         model = SumModel.rademacher(comps)
-        exact = matricize(variance_general(model).outer)
+        exact = matricize(variance_general(model)[0])
         mats = np.stack([matricize_general(c) for c in comps])
         trials = 100_000
         signs = rng.integers(0, 2, size=(trials, 4)) * 2 - 1

@@ -422,6 +422,15 @@ class TestBatchedSpectra:
             top_singular_values(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
             sym_eig(np.zeros((1, 2, 2)))
+        # a stack of matrices with no rows or no columns has no top value
+        for mats in (np.zeros((2, 0, 3)), np.zeros((2, 3, 0))):
+            with pytest.raises(ShapeError, match=r"r, c >= 1, got \(2, "):
+                top_singular_values(mats)
+        with pytest.raises(ShapeError, match=r"r, c >= 1, got \(2, 0, 0\)"):
+            sym_eigvals(np.zeros((2, 0, 0)))
+        # an empty matrix, and a stack of no matrices, give empty results
+        assert sym_eig(np.zeros((0, 0))).values.shape == (0,)
+        assert sym_eigvals(np.zeros((0, 3, 3))).shape == (0, 3)
 
     def test_overflowing_results_are_numerical_errors(self):
         # finite and symmetric, with a top eigenvalue and singular value

@@ -65,8 +65,8 @@ def test_non_finite_error_fails_its_property(monkeypatch, bad):
 
 
 def test_nan_tail_bound_fails_monotonicity(monkeypatch):
-    monkeypatch.setattr(bounds, "tail_bound",
-                        lambda *args: bounds.TailBound(math.nan, math.nan))
+    monkeypatch.setattr(bounds.BernsteinReport, "tail",
+                        lambda self, t: bounds.TailBound(math.nan, math.nan))
     result = verify._prop_tail_monotonicity(0, 1)
     assert result.name == "tail-monotonicity" and not result.passed
 
