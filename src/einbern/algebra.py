@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _finite
+from .tensor import Tensor, _finite, matricize
 
 __all__ = [
     "einstein_product",
@@ -192,13 +192,6 @@ def matricize_rows(rows, order: int, d: int) -> np.ndarray:
     """
     m = (order + 1) // 2
     return np.asarray(rows).reshape(-1, d ** (order - m), d**m).transpose(0, 2, 1)
-
-
-def matricize(t: Tensor) -> np.ndarray:
-    """Square unfolding of an even-order cubic tensor."""
-    if t.order % 2:
-        raise ShapeError(f"order {t.order} is odd; an even order is required")
-    return matricize_general(t)
 
 
 def unmatricize(mat, order: int, d: int) -> Tensor:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import hermitian_dilation, matricize, matricize_general, unmatricize
+from .algebra import hermitian_dilation, matricize_general, unmatricize
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
 from .tensor import (
     DEFAULT_TOL,
@@ -25,6 +25,7 @@ from .tensor import (
     apply_power_map,
     is_e_symmetric,
     is_fully_symmetric,
+    matricize,
 )
 
 __all__ = [
@@ -145,22 +146,17 @@ def _symmetric_part(m: np.ndarray) -> np.ndarray:
                      lambda: (m + np.swapaxes(m, -1, -2)) / 2.0)
 
 
-def _require_e_symmetric(t: Tensor) -> None:
-    if not is_e_symmetric(t):
-        raise SymmetryError("tensor is not Einstein-symmetric within tolerance")
-
-
 def e_eigenvalues(t: Tensor) -> np.ndarray:
-    """Spectrum of the square unfolding, sorted descending."""
-    _require_e_symmetric(t)
+    """Spectrum of the square unfolding, sorted descending; ``sym_eig``
+    judges the input, so E-symmetry is judged once."""
     return sym_eig(matricize(t)).values
 
 
 def e_evd(t: Tensor) -> EinsteinEVD:
-    """Eigenvalue decomposition with both factors folded back to tensors."""
-    _require_e_symmetric(t)
-    d = t.cubic_dim
+    """Eigenvalue decomposition with both factors folded back to tensors;
+    the input is judged as ``e_eigenvalues`` judges it."""
     dec = sym_eig(matricize(t))
+    d = t.cubic_dim
     u = unmatricize(dec.vectors, t.order, d)
     diag = unmatricize(np.diag(dec.values), t.order, d)
     return EinsteinEVD(u=u, diag=diag, values=dec.values)
@@ -178,7 +174,8 @@ def e_trace(t: Tensor) -> float:
     Cheaper than summing the spectrum, with which it agrees.  An
     overflow is a NumericalError.
     """
-    _require_e_symmetric(t)
+    if not is_e_symmetric(t):
+        raise SymmetryError("tensor is not Einstein-symmetric within tolerance")
     return _trace(matricize(t), "unfolding")
 
 

@@ -20,7 +20,8 @@ the oracle the tests check them against:
   of the outputs, low half first, each mapped to ``(u * bound) >> 32``
   (Lemire 2019, "Fast Random Integer Generation in an Interval").
   A half whose low product word is below ``2^32 mod bound`` is redrawn
-  from the next half of the same stream.
+  from the next half of the same stream; a trial that redraws derives
+  its stream again from its seed, longer.
 
 The stream definition is this module's, so the same seed gives the same
 draws under any numpy release.
@@ -179,14 +180,14 @@ def _table(width: int) -> tuple:
     return maps[:2], maps[2:]
 
 
-def _outputs(state: tuple, inc: tuple, n: int) -> tuple:
-    """The next ``n`` outputs of each stream, a (streams, n) uint64 array,
-    and the state of its last output.  Output r * W + c, with W about
+def _outputs(state: tuple, inc: tuple, n: int) -> np.ndarray:
+    """The next ``n`` outputs of each stream, a (streams, n) uint64 array.
+    Output j's state depends on j alone: output r * W + c, with W about
     sqrt(n), has the state ``A_c * B_r + C_c * inc``: ``B_r = T^(r*W)(s)``
     from the row table and ``(A_c, C_c) = T^(c+1)`` from the column table."""
     streams = len(state[0])
     if not n or not streams:
-        return np.empty((streams, n), np.uint64), state
+        return np.empty((streams, n), np.uint64)
     width = n if n <= _DIRECT else 1 << ((n - 1).bit_length() + 1) // 2
     rows = -(-n // width)
     cols, row_maps = _table(1 << (width - 1).bit_length())
@@ -199,7 +200,6 @@ def _outputs(state: tuple, inc: tuple, n: int) -> tuple:
     tile_rows = max(1, min(rows, _TILE // width))
     tile_streams = max(1, _TILE // (tile_rows * width))
     out = np.empty((streams, rows, width), np.uint64)
-    ends = []
     for s0 in range(0, streams, tile_streams):
         part = slice(s0, s0 + tile_streams)
         add = tuple(x[part, None, :] for x in step_inc)
@@ -207,10 +207,7 @@ def _outputs(state: tuple, inc: tuple, n: int) -> tuple:
             at = (part, slice(r0, r0 + tile_rows))
             states = _add128(_mul128(mult, tuple(x[at][..., None] for x in starts)), add)
             _xsl_rr(states, out[at])
-        # output n - 1 sits in the last row; later columns are padding
-        ends.append(tuple(x[:, -1, (n - 1) % width] for x in states))
-    end = tuple(np.concatenate(x)[:, None] for x in zip(*ends))
-    return out.reshape(streams, rows * width)[:, :n], end
+    return out.reshape(streams, rows * width)[:, :n]
 
 
 def _halves(out: np.ndarray) -> np.ndarray:
@@ -223,7 +220,7 @@ def _halves(out: np.ndarray) -> np.ndarray:
 def uniform(seed: int, lo: float, hi: float, size: int) -> np.ndarray:
     """``default_rng(seed).uniform(lo, hi, size)``: ``size`` float64 draws
     ``lo + (hi - lo) * u``, u the top 53 bits of an output over 2^53."""
-    raw = _outputs(*_seeded(_words(seed)), int(size))[0][0]
+    raw = _outputs(*_seeded(_words(seed)), int(size))[0]
     draws = raw.view(np.float64)
     # tile by tile: numpy copies an input that overlaps an output of another dtype
     for at in range(0, len(raw), _TILE):
@@ -253,23 +250,28 @@ class TrialDraws:
             # a larger index is two entropy words, not one
             raise ValueError(f"trial indices must be below 2^32, got {start}..{stop}")
         trials = np.arange(start, stop, dtype=np.uint32)
-        state, inc = _seeded(self._seed_words + [trials])
-        out, end = _outputs(state, inc, (self.count + 1) // 2)
-        scaled = _halves(out) * np.uint64(self.bound)
-        draws = (scaled[:, : self.count] >> _U32).astype(np.int64)
-        redrawn = (scaled[:, : self.count] & _LOW) < self._threshold
+        n = (self.count + 1) // 2
+        scaled = self._scaled(trials, n)[:, : self.count]
+        draws = (scaled >> _U32).astype(np.int64)
+        redrawn = (scaled & _LOW) < self._threshold
         for r in np.flatnonzero(redrawn.any(axis=1)):
-            limbs = [[x[r : r + 1] for x in pair] for pair in (end, inc)]
-            draws[r] = self._redraw(scaled[r], *limbs)
+            draws[r] = self._redraw(trials[r : r + 1], 2 * n)
         return draws
 
-    def _redraw(self, scaled, state, inc) -> np.ndarray:
-        """One stream's draws when Lemire's method redraws in it: each draw
+    def _scaled(self, trials: np.ndarray, n: int) -> np.ndarray:
+        """The halves of each trial's first ``n`` outputs times the bound:
+        the draw in the high word, the redraw test in the low word."""
+        out = _outputs(*_seeded(self._seed_words + [trials]), n)
+        return _halves(out) * np.uint64(self.bound)
+
+    def _redraw(self, trial: np.ndarray, n: int) -> np.ndarray:
+        """One trial's draws when Lemire's method redraws in it: each draw
         takes the next half whose low product word is not below the
-        threshold, continuing the stream past ``scaled`` as needed."""
+        threshold, from the trial's first ``n`` outputs, twice as many each
+        time too few halves are kept."""
         while True:
+            scaled = self._scaled(trial, n)[0]
             kept = scaled[(scaled & _LOW) >= self._threshold]
             if kept.size >= self.count:
                 return (kept[: self.count] >> _U32).astype(np.int64)
-            out, state = _outputs(state, inc, self.count)
-            scaled = np.concatenate([scaled, _halves(out)[0] * np.uint64(self.bound)])
+            n *= 2

@@ -193,8 +193,9 @@ def _require_even_cubic(t: Tensor) -> int:
     return t.cubic_dim
 
 
-def _paired_unfolding(t: Tensor) -> np.ndarray:
-    """The square paired-mode unfolding of an even-order cubic tensor."""
+def matricize(t: Tensor) -> np.ndarray:
+    """The square paired-mode unfolding of an even-order cubic tensor, a
+    read-only view of its buffer."""
     half = _require_even_cubic(t) ** (t.order // 2)
     return t.data.reshape((half, half), order="F")
 
@@ -205,7 +206,7 @@ def transpose_even(t: Tensor) -> Tensor:
     Acts on even-order cubic tensors; equals the matrix transpose of the
     paired-mode unfolding.
     """
-    mat = _paired_unfolding(t)
+    mat = matricize(t)
     return Tensor(t.shape, mat.T.reshape(-1, order="F"), copy=False)
 
 
@@ -237,7 +238,7 @@ def _close(a, b, tol: float, axis=None, scale=None):
 
 def is_e_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """True when the tensor equals its paired-mode transpose within tol."""
-    mat = _paired_unfolding(t)
+    mat = matricize(t)
     return bool(_close(mat, mat.T, tol, scale=t.max_abs()))
 
 
@@ -255,7 +256,7 @@ def e_symmetric_rows(rows) -> np.ndarray:
 
 def is_diagonal(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
     """True when all off-diagonal entries vanish within tol (scaled)."""
-    mat = _paired_unfolding(t)
+    mat = matricize(t)
     return bool(_close(mat, np.diag(np.diag(mat)), tol))
 
 
@@ -299,8 +300,8 @@ def outer_power(x, m: int) -> Tensor:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError("expected a vector")
-    arr = reduce(np.multiply.outer, [x] * m)
-    return Tensor((x.size,) * m, arr.reshape(-1, order="F"), copy=False)
+    return _finite((x.size,) * m,
+                   lambda: reduce(np.multiply.outer, [x] * m).reshape(-1, order="F"))
 
 
 def kron_power(x, m: int) -> np.ndarray:
@@ -310,21 +311,19 @@ def kron_power(x, m: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError("expected a vector")
-    return reduce(np.kron, [x] * m)
+    return _computed("the Kronecker power", lambda: reduce(np.kron, [x] * m))
 
 
 def apply_power(t: Tensor, x) -> float:
-    """Evaluate the homogeneous form sum a[i1...iN] x[i1] ... x[iN]."""
+    """Evaluate the homogeneous form sum a[i1...iN] x[i1] ... x[iN], as
+    x times ``apply_power_map``; an overflow is a NumericalError."""
     d = _require_even_cubic(t)
     if t.order == 0:
         return t.item()
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,):
         raise ShapeError(f"vector of length {x.size} for dimension {d}")
-    arr = t.to_array()
-    for _ in range(t.order):
-        arr = np.tensordot(arr, x, axes=([0], [0]))
-    return float(arr)
+    return float(_computed("the form", lambda: x @ apply_power_map(t, x)))
 
 
 def apply_power_map(t: Tensor, x) -> np.ndarray:
@@ -333,7 +332,9 @@ def apply_power_map(t: Tensor, x) -> np.ndarray:
     each row's (N-1)-fold Kronecker power, whose equal factors commute.
 
     For a fully symmetric tensor this is the gradient map whose fixed
-    directions are the Z-eigenvectors.
+    directions are the Z-eigenvectors.  The raw kernel: it neither checks
+    its values nor silences numpy's float warnings, so a caller that can
+    overflow does both, as ``apply_power`` and ``z_eigen_max`` do.
     """
     d = _require_even_cubic(t)
     if t.order == 0:

@@ -373,11 +373,9 @@ def _prop_epsd_sampled_psd(rng, seed, cases):
         gram = algebra.gen_product_outer(a, a)
         if not spectral.is_e_psd(gram):
             raise _Failed("self-product not E-PSD")
-        dd = gram.cubic_dim
-        for _ in range(1000):
-            x = rng.standard_normal(dd)
-            x /= np.linalg.norm(x)
-            yield -tensor.apply_power(gram, x)
+        xs = rng.standard_normal((1000, gram.cubic_dim))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+        yield from -np.einsum("ij,ij->i", xs, tensor.apply_power_map(gram, xs))
 
 
 def worked_example(seed: int = 0) -> list:
@@ -390,7 +388,7 @@ def worked_example(seed: int = 0) -> list:
     """
     a = tensor.psd_counterexample_tensor()
     xs = np.random.default_rng(seed).standard_normal((1000, 3))
-    forms = np.array([tensor.apply_power(a, x) for x in xs])
+    forms = np.einsum("ij,ij->i", xs, tensor.apply_power_map(a, xs))
     worst = float(np.abs(forms - 6.0 * xs[:, 0] ** 2 * xs[:, 1] ** 2).max())
     neg = min(float(forms.min()), 0.0)
     y = np.zeros(9)

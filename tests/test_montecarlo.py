@@ -437,7 +437,7 @@ class TestBulkDraws:
         assert np.array_equal(picks, want)
         # the draws each row's first output would give without a redraw
         trials = np.arange(start, stop, dtype=np.uint32)
-        first, _ = streams._outputs(*streams._seeded(draws._seed_words + [trials]), 1)
+        first = streams._outputs(*streams._seeded(draws._seed_words + [trials]), 1)
         plain = (streams._halves(first) * np.uint64(k)) >> np.uint64(32)
         redrawn = (plain != picks).any(axis=1)
         assert 0 < redrawn.sum() < len(redrawn)

@@ -50,6 +50,28 @@ from einbern import (
 )
 
 
+@pytest.mark.parametrize("fn", [e_eigenvalues, e_evd, e_spectral_norm, is_e_psd, is_e_pd,
+                                e_trace], ids=lambda fn: fn.__name__)
+def test_e_spectral_functions_judge_symmetry_once(fn):
+    # sym_eig judges the input of every function that solves, so they
+    # share its verdicts and messages; e_trace solves nothing and keeps
+    # its own judgement
+    not_e_symmetric = "^tensor is not Einstein-symmetric within tolerance$"
+    with pytest.raises(SymmetryError, match=not_e_symmetric if fn is e_trace else
+                       "^matrix is not symmetric within tolerance$"):
+        fn(Tensor((2, 2), [1, 2, 0, 1]))
+    for bad in (math.nan, math.inf, -math.inf):
+        error, message = ((SymmetryError, not_e_symmetric) if fn is e_trace else
+                          (NumericalError, "^matrix has non-finite entries$"))
+        with pytest.raises(error, match=message):
+            fn(Tensor((2, 2), [1.0, 0.0, 0.0, bad]))
+    for shape in ((2, 2, 2), (2, 3, 2)):
+        with pytest.raises(ShapeError, match="^order 3 is odd; an even order is required$"):
+            fn(Tensor(shape, np.zeros(math.prod(shape))))
+    with pytest.raises(ShapeError, match=r"^shape \(2, 3\) is not cubic$"):
+        fn(Tensor((2, 3), np.zeros(6)))
+
+
 class TestSymEig:
     def test_identity(self):
         dec = sym_eig(np.eye(4))

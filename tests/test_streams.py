@@ -80,6 +80,19 @@ def test_one_row_and_redrawing_blocks_equal_trial_rows(seed, bound, count):
             assert np.array_equal(block[r], want)
 
 
+def test_a_redrawing_row_derives_its_stream_again_longer(monkeypatch):
+    # 9 draws take 5 outputs a stream; trial 0 of seed 0 keeps too few
+    # halves of them, and then of 10, so it is derived a third time,
+    # from its seed, with 20
+    lengths, outputs = [], streams._outputs
+    monkeypatch.setattr(streams, "_outputs",
+                        lambda state, inc, n: lengths.append(n) or outputs(state, inc, n))
+    bound = 2**31 + 1
+    block = TrialDraws(0, bound, 9).block(0, 1)
+    assert lengths == [5, 10, 20]
+    assert np.array_equal(block[0], trial_rng(0, 0).integers(0, bound, size=9))
+
+
 def test_pinned_draws():
     # the port's own values: a change to it fails here even if numpy's
     # generators change along with it
@@ -116,8 +129,7 @@ def test_blocks_across_tiles_equal_trial_rows(monkeypatch, count):
     # 2 * DIRECT draws take 64 outputs a stream, one row; one more draw
     # takes 65, five rows of 16 columns with the last padded.  Tiles of
     # 160 outputs hold two streams either way, so the blocks end on each
-    # side of a tile edge.  Nearly every row redraws, continuing from
-    # the state of its last output, not from the padding's.
+    # side of a tile edge.  Nearly every row redraws.
     monkeypatch.setattr(streams, "_TILE", 160)
     bound = 2**31 + 1
     draws = TrialDraws(9, bound, count)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from einbern import (
     DEFAULT_TOL,
     DomainError,
+    NumericalError,
     ShapeError,
     Tensor,
     apply_power,
@@ -448,12 +449,56 @@ class TestApplyPower:
         for x, row in zip(block, got):
             assert np.allclose(row, apply_power_map(s, x), rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("kind", ["any", "fully_symmetric"])
+    def test_form_is_x_times_the_oracle_map(self, order, kind):
+        rng = np.random.default_rng(40 + order)
+        for _ in range(10):
+            t = (random_tensor(rng, (3,) * order) if kind == "any"
+                 else random_fully_symmetric(rng, order, 3))
+            x = rng.standard_normal(3)
+            want = float(x @ oracles.power_map(t, x))
+            assert apply_power(t, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_order_zero_is_its_entry(self):
+        assert apply_power(Tensor((), [2.5]), np.ones(0)) == 2.5
+
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             apply_power(identity_tensor(1, 3), np.ones(4))
         for bad in (np.ones((2, 4)), np.ones((2, 2, 3))):
             with pytest.raises(ShapeError):
                 apply_power_map(identity_tensor(1, 3), bad)
+
+
+@st.composite
+def power_calls(draw):
+    """(function, arguments) of the form of an order-2 or -4 tensor, or of
+    an outer or Kronecker power, on a vector of length <= 3, all from
+    ENTRIES."""
+    fn = draw(st.sampled_from([apply_power, outer_power, kron_power]))
+    d = draw(st.integers(1, 3))
+    x = np.array(draw(st.lists(ENTRIES, min_size=d, max_size=d)))
+    if fn is not apply_power:
+        return fn, (x, draw(st.integers(1, 4)))
+    order = 2 * draw(st.integers(1, 2))
+    entries = draw(st.lists(ENTRIES, min_size=d**order, max_size=d**order))
+    return fn, (Tensor((d,) * order, entries), x)
+
+
+@given(call=power_calls())
+@example(call=(apply_power, (Tensor((2,) * 4, np.ones(16)), np.array([1e100, 1e100]))))
+@example(call=(outer_power, (np.array([1e200, 1.0]), 2)))
+@example(call=(kron_power, (np.array([1e200, 1.0]), 2)))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_powers_return_finite_values_or_raise(call):
+    # warnings are errors here, so a numpy overflow warning fails too
+    fn, args = call
+    try:
+        result = fn(*args)
+    except NumericalError:
+        return
+    assert np.isfinite(result.data if isinstance(result, Tensor) else result).all()
 
 
 class TestHadamard:

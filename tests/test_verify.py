@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from einbern import bounds, spectral, verify
+import oracles
+from einbern import bounds, spectral, tensor, verify
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2019])
@@ -18,6 +20,21 @@ def test_worked_example_passes(seed):
         "z-estimate",
     ]
     assert all(f.passed for f in facts), [f.detail for f in facts]
+
+
+def test_worked_example_forms_are_one_block(monkeypatch):
+    # the 1000 sampled forms are one product over a (1000, 3) block, whose
+    # rows are 1000 successive standard_normal(3) draws, and equal the
+    # oracle's forms sample by sample
+    calls, kernel = [], tensor.apply_power_map
+    monkeypatch.setattr(tensor, "apply_power_map",
+                        lambda t, xs: calls.append((t, xs, kernel(t, xs))) or calls[-1][2])
+    assert all(f.passed for f in verify.worked_example(3))
+    [(t, xs, grads)] = calls
+    rng = np.random.default_rng(3)
+    assert np.array_equal(xs, [rng.standard_normal(3) for _ in range(1000)])
+    want = [x @ oracles.power_map(t, x) for x in xs]
+    assert np.allclose(np.einsum("ij,ij->i", xs, grads), want, rtol=1e-12, atol=0.0)
 
 
 def test_counterexample_property_fails_with_any_fact(monkeypatch):
