@@ -16,7 +16,6 @@ lab measures it on sampled sums.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -24,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import _gram_tensor, matricize, matricize_rows
-from .errors import ApplicabilityError, DomainError, ModelError, NumericalError
+from .errors import (MAX_MODEL_ENTRIES, ApplicabilityError, DomainError, ModelError,
+                     NumericalError, _int, _is_integer, _is_real)
 from .spectral import (
     _psd_spectrum, _trace, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
 )
@@ -51,16 +51,6 @@ __all__ = [
 # Theorem names a report or an experiment may request; "auto" picks
 # "even" when it applies and "general" otherwise
 THEOREMS = ("auto", "even", "general", "intrinsic")
-
-
-def _is_count(x) -> bool:
-    """Whether x is an integer (a numpy one too, but not a bool) >= 1."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 1
-
-
-def _is_real(x) -> bool:
-    """Whether x is a real number (a numpy one too), but not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class _Law:
@@ -113,9 +103,10 @@ class Subsample(_Law):
     signed = False
 
     def __post_init__(self):
-        size = self.sample_size
-        if not _is_count(size):
+        size = _int(self.sample_size, "sample_size", MAX_MODEL_ENTRIES)
+        if size < 1:
             raise ModelError(f"sample_size must be a positive integer, got {size!r}")
+        object.__setattr__(self, "sample_size", size)
 
     def scale(self, k: int) -> float:
         return k / self.sample_size
@@ -177,8 +168,12 @@ class SumModel:
     law: Rademacher | Subsample = Rademacher()
 
     def __post_init__(self):
-        shape = tuple(self.shape)
-        stack = np.asarray(self.stack, dtype=np.float64)
+        try:
+            shape = tuple(self.shape)
+            stack = np.asarray(self.stack, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelError(f"a model's shape or stack is malformed: {exc}") from None
+        shape = tuple(_int(s, "mode size") for s in shape)
         if stack.ndim != 2 or not len(stack) or stack.shape[1] != math.prod(shape):
             raise ModelError(f"a {stack.shape} stack cannot hold shape {shape} rows")
         _check_finite(stack)
@@ -353,7 +348,7 @@ class BernsteinReport:
             raise DomainError(f"unknown theorem {self.theorem!r}")
         if (self.theorem == "intrinsic") != (self.dv is not None):
             raise DomainError("the intrinsic bound, and only it, takes dv")
-        if not (_is_count(self.order) and _is_count(self.dim)):
+        if not all(_is_integer(x) and x >= 1 for x in (self.order, self.dim)):
             raise DomainError(f"order and dim must be integers >= 1, got "
                               f"{self.order!r}, {self.dim!r}")
         reals = (self.L, self.nu) if self.dv is None else (self.L, self.nu, self.dv)

@@ -14,6 +14,7 @@ from .bounds import THEOREMS, build_report, format_report, format_tail_csv
 from .config import grid_points, load_experiment, load_model
 from .errors import ApplicabilityError, EinbernError, NumericalError
 from .montecarlo import format_results_csv, run_experiment
+from .tensor import _fmt
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -152,14 +153,12 @@ def cmd_simulate(args) -> int:
     with open(args.out, "wb") as fh:
         fh.write(format_results_csv(result).encode("ascii"))
     print(f"statistic={result.statistic} trials={result.trials} seed={result.seed}")
-    print(f"empirical_mean_max={result.empirical_mean_max:.17g}")
+    print(f"empirical_mean_max={_fmt(result.empirical_mean_max)}")
     check = result.expectation
     if check is not None:
         verdict = "pass" if check.passed else "fail"
-        print(
-            f"expectation_bound={check.bound:.17g} adjusted_mean="
-            f"{check.adjusted_mean:.17g} expectation_verdict={verdict}"
-        )
+        print(f"expectation_bound={_fmt(check.bound)} adjusted_mean="
+              f"{_fmt(check.adjusted_mean)} expectation_verdict={verdict}")
     tail_passed = sum(row.passed for row in result.rows)
     print(f"tail_verdicts={tail_passed}/{len(result.rows)} pass")
     return EXIT_OK if result.all_passed else EXIT_FAIL

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .bounds import Subsample, SumModel, _stack_components
-from .errors import ModelError
+from .errors import MAX_MODEL_ENTRIES, ModelError, _float, _int
 from .montecarlo import ExperimentConfig
 from .streams import uniform
 from .tensor import Tensor, _orbit_means, linearize, read_tensor_text
@@ -31,23 +31,17 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Largest number of tensor entries (count x d**N) one model document may
-# describe: 2**24 float64 entries are 128 MiB, and building and bounding
-# a model copies them a few times.  Larger documents are refused before
-# anything is allocated.
-MAX_MODEL_ENTRIES = 1 << 24
-
 _MODEL_KEYS = {"law", "components", "generate", "sample_size", "with_replacement"}
 _GENERATE_KEYS = {"count", "order", "dim", "seed", "kind", "scale"}
 _COMPONENT_KEYS = {"shape", "entries"}
 _EXPERIMENT_KEYS = {"model", "trials", "t_grid", "seed", "confidence_slack", "theorem"}
-_GRID_KEYS = {"start", "stop", "num"}
+_GRID_KEYS = ("start", "stop", "num")
 
 
-def _check_keys(doc: dict, allowed: set, where: str) -> None:
+def _check_keys(doc: dict, allowed: set | tuple, where: str) -> None:
     if not isinstance(doc, dict):
         raise ModelError(f"{where} must be a JSON object")
-    unknown = set(doc) - allowed
+    unknown = set(doc).difference(allowed)
     if unknown:
         raise ModelError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -60,23 +54,6 @@ def _require(doc: dict, key: str, where: str, kind: type = object):
             f"{key!r} in {where} must be a {kind.__name__}, got {doc[key]!r}"
         )
     return doc[key]
-
-
-def _int(value, where: str, most: float = math.inf) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ModelError(f"{where} must be an integer, got {value!r}")
-    if value > most:
-        raise ModelError(f"{where} must be at most {most}, got {value}")
-    return value
-
-
-def _float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelError(f"{where} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ModelError(f"{where} is too large for a float") from exc
 
 
 def _over_budget(what: str) -> ModelError:
@@ -180,63 +157,50 @@ def model_from_dict(doc: dict, base_dir: str = ".") -> SumModel:
             if key in doc:
                 raise ModelError(f"{key!r} is only valid for the subsample law")
         return SumModel(shape, stack)
-    sample_size = _int(
-        _require(doc, "sample_size", "model"), "sample_size", MAX_MODEL_ENTRIES
-    )
+    law = Subsample(_require(doc, "sample_size", "model"))
     # an archived key: drawing with replacement is the only law
     if not isinstance(doc.get("with_replacement", True), bool):
         raise ModelError("with_replacement must be a boolean")
     if not doc.get("with_replacement", True):
         raise ModelError("subsampling without replacement breaks independence; refused")
-    return SumModel(shape, stack, Subsample(sample_size))
+    return SumModel(shape, stack, law)
 
 
 def grid_points(start: float, stop: float, num: int) -> tuple:
     """``num`` evenly spaced points from ``start`` to ``stop``.
 
-    Both ends and the span between them must be finite, and ``num`` at
-    most MAX_MODEL_ENTRIES; other grids are refused before numpy
-    computes or allocates anything.
+    Both ends and the span between them must be finite numbers, and
+    ``num`` an integer of at most MAX_MODEL_ENTRIES; other grids are
+    refused before numpy computes or allocates anything.
     """
-    if num < 1:
+    start, stop = _float(start, "t_grid start"), _float(stop, "t_grid stop")
+    if _int(num, "num", MAX_MODEL_ENTRIES) < 1:
         raise ModelError("a grid needs at least one point")
-    if num > MAX_MODEL_ENTRIES:
-        raise ModelError(f"num must be at most {MAX_MODEL_ENTRIES}, got {num}")
     if not all(math.isfinite(x) for x in (start, stop, stop - start)):
         raise ModelError(
             f"grid ends and their difference must be finite, got {start} to {stop}"
         )
-    return tuple(float(t) for t in np.linspace(start, stop, num))
-
-
-def _grid_from_spec(spec) -> tuple:
-    if isinstance(spec, dict):
-        _check_keys(spec, _GRID_KEYS, "t_grid")
-        start = _float(_require(spec, "start", "t_grid"), "t_grid start")
-        stop = _float(_require(spec, "stop", "t_grid"), "t_grid stop")
-        num = _int(_require(spec, "num", "t_grid"), "num")
-        return grid_points(start, stop, num)
-    if not isinstance(spec, list) or not spec:
-        raise ModelError("t_grid must be a non-empty list or a start/stop/num object")
-    return tuple(_float(t, "t_grid value") for t in spec)
+    return tuple(np.linspace(start, stop, num).tolist())
 
 
 def experiment_from_dict(doc: dict, base_dir: str = ".") -> ExperimentConfig:
-    """Build an ExperimentConfig from the body of an experiment document."""
+    """Build an ExperimentConfig, which judges its values, from a document body."""
     _check_keys(doc, _EXPERIMENT_KEYS, "experiment")
     model = model_from_dict(_require(doc, "model", "experiment"), base_dir)
-    trials = _int(_require(doc, "trials", "experiment"), "trials", MAX_MODEL_ENTRIES)
-    grid = _grid_from_spec(_require(doc, "t_grid", "experiment"))
-    seed = _int(_require(doc, "seed", "experiment"), "seed")
-    slack = _float(doc.get("confidence_slack", 3.0), "confidence_slack")
-    theorem = doc.get("theorem", "auto")
+    trials = _require(doc, "trials", "experiment")
+    grid = _require(doc, "t_grid", "experiment")
+    if isinstance(grid, dict):
+        _check_keys(grid, _GRID_KEYS, "t_grid")
+        grid = grid_points(*(_require(grid, k, "t_grid") for k in _GRID_KEYS))
+    elif not isinstance(grid, list) or not grid:
+        raise ModelError("t_grid must be a non-empty list or a start/stop/num object")
     return ExperimentConfig(
         model=model,
         trials=trials,
         t_grid=grid,
-        seed=seed,
-        confidence_slack=slack,
-        theorem=theorem,
+        seed=_require(doc, "seed", "experiment"),
+        confidence_slack=doc.get("confidence_slack", 3.0),
+        theorem=doc.get("theorem", "auto"),
     )
 
 

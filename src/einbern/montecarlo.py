@@ -30,7 +30,7 @@ from .bounds import (
     stack_statistics,
     statistic,
 )
-from .errors import ModelError
+from .errors import MAX_MODEL_ENTRIES, ModelError, _float, _int
 from .streams import TrialDraws
 from .tensor import _computed, _fmt
 
@@ -63,14 +63,17 @@ class ExperimentConfig:
     theorem: str = "auto"
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ModelError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 100:
-            raise ModelError(f"at least 100 trials are required, got {self.trials}")
-        grid = tuple(float(t) for t in self.t_grid)
-        object.__setattr__(self, "t_grid", grid)
+        if not isinstance(self.model, SumModel):
+            raise ModelError(f"model must be a SumModel, got {self.model!r}")
+        trials = _int(self.trials, "trials", MAX_MODEL_ENTRIES)
+        try:
+            grid = tuple(_float(t, "t_grid value") for t in self.t_grid)
+        except TypeError:
+            raise ModelError(f"t_grid must be iterable, got {self.t_grid!r}") from None
+        seed = _int(self.seed, "seed")
+        slack = _float(self.confidence_slack, "confidence_slack")
+        if trials < 100:
+            raise ModelError(f"at least 100 trials are required, got {trials}")
         if not grid:
             raise ModelError("t_grid must be non-empty")
         if not all(math.isfinite(t) for t in grid):
@@ -79,15 +82,17 @@ class ExperimentConfig:
             raise ModelError("t_grid must be strictly ascending")
         if grid[0] < 0:
             raise ModelError("t values must be nonnegative")
-        if self.seed < 0:
-            raise ModelError(f"seed must be nonnegative, got {self.seed}")
-        if not math.isfinite(self.confidence_slack) or self.confidence_slack < 0:
+        if seed < 0:
+            raise ModelError(f"seed must be nonnegative, got {seed}")
+        if not math.isfinite(slack) or slack < 0:
             raise ModelError(
-                f"confidence_slack must be finite and nonnegative, "
-                f"got {self.confidence_slack}"
+                f"confidence_slack must be finite and nonnegative, got {slack}"
             )
-        if self.theorem not in THEOREMS:
+        if not isinstance(self.theorem, str) or self.theorem not in THEOREMS:
             raise ModelError(f"unknown theorem {self.theorem!r}")
+        for name, value in (("trials", trials), ("t_grid", grid), ("seed", seed),
+                            ("confidence_slack", slack)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

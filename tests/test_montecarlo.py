@@ -6,11 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einbern import (
     DomainError,
+    EinbernError,
     ExperimentConfig,
     ModelError,
     NumericalError,
@@ -31,7 +32,9 @@ from einbern import (
     transpose_even,
     variance_general,
 )
-from einbern import load_experiment, montecarlo, streams
+from einbern import (
+    experiment_from_dict, load_experiment, model_from_dict, montecarlo, streams
+)
 from einbern.bounds import statistic
 from oracles import sample_sum, trial_rng
 
@@ -490,3 +493,95 @@ def test_verdicts_monotone_in_slack(count, seed, slack, extra):
     # a row that passes at the larger slack passes at the smaller one
     for loose, tight in zip(*rows):
         assert loose.passed or not tight.passed
+
+
+# a value of each hostile kind, values either side of the bounds, and numpy scalars
+OUTSIDE_VALUES = ["abc", None, True, False, [1], {"a": 1}, math.nan, math.inf,
+                  -math.inf, 10**400, -1, 2**25, 0, 3, 100, 200, 2.5, 2**24,
+                  np.int64(200), np.int32(3), np.float64(2.5), np.bool_(True)]
+SUBSAMPLE_DOC = {"law": "subsample", "sample_size": 3,
+                 "generate": {"count": 4, "order": 2, "dim": 2, "seed": 0}}
+FIELD_DOC = {"model": SUBSAMPLE_DOC, "trials": 100, "t_grid": [0.0, 1.0], "seed": 0,
+             "confidence_slack": 3.0}
+
+
+def outcome(build):
+    """What ``build()`` returns, or the type and message of the EinbernError it
+    raises; any other exception fails the test."""
+    try:
+        return build(), None
+    except EinbernError as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def through_type(field, value):
+    """The library type that holds ``field``, built with ``value`` in it."""
+    if field == "sample_size":
+        return SumModel((2, 2), np.eye(4)[:3], Subsample(value))
+    if field == "shape":
+        return SumModel(value, np.eye(4)[:3])
+    if field == "stack":
+        return SumModel((2, 2), value)
+    if field == "stack entry":
+        return SumModel((2, 2), [[value, 0.0, 0.0, 0.0]])
+    kwargs = {**FIELD_DOC, "model": model_from_dict(SUBSAMPLE_DOC)}
+    if field == "t value":
+        kwargs["t_grid"] = [value]
+    elif field == "t value in an array":
+        kwargs["t_grid"] = np.array([value])
+    else:
+        kwargs[field] = value
+    return ExperimentConfig(**kwargs)
+
+
+def through_document(field, value):
+    """The same value at the same place of an experiment or model document."""
+    if field == "sample_size":
+        return model_from_dict({**SUBSAMPLE_DOC, "sample_size": value})
+    if field == "t value":
+        field, value = "t_grid", [value]
+    return experiment_from_dict({**FIELD_DOC, field: value})
+
+
+@given(field=st.sampled_from(["trials", "seed", "confidence_slack", "t value",
+                              "t value in an array", "sample_size", "model", "shape",
+                              "stack", "stack entry"]),
+       value=st.sampled_from(OUTSIDE_VALUES))
+@example(field="confidence_slack", value="abc")
+@example(field="t value", value="a")
+@example(field="t value", value=10**400)
+@example(field="trials", value=np.int64(200))
+@example(field="model", value=None)
+@example(field="shape", value=5)
+@example(field="stack", value="abc")
+@example(field="stack", value=[[1.0, 0.0, 0.0, 0.0], [1.0]])
+@example(field="stack entry", value=10**400)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_each_outside_value_is_judged_once_by_its_type(field, value):
+    built, error = outcome(lambda: through_type(field, value))
+    if field == "model":
+        assert error == f"ModelError: model must be a SumModel, got {value!r}"
+    if isinstance(value, np.number):
+        # a numpy scalar counts as the Python number it equals
+        as_python = outcome(lambda: through_type(field, value.item()))[0]
+        assert (built is None) == (as_python is None)
+    if field == "t value in an array":
+        # a numpy array is a grid, as the list of its values is
+        as_list = outcome(lambda: through_type("t value", value))[0]
+        assert (built is None) == (as_list is None)
+    if isinstance(built, SumModel):
+        held = built.law.sample_size if field == "sample_size" else built.dim
+        assert type(held) is int
+    elif built is not None:
+        assert (type(built.trials), type(built.seed)) == (int, int)
+        assert {type(x) for x in (built.confidence_slack, *built.t_grid)} == {float}
+    if field in ("trials", "seed", "confidence_slack", "t value", "sample_size") and (
+            not isinstance(value, np.generic)):
+        # every JSON value: the document gives what the type gives
+        via_doc, doc_error = outcome(lambda: through_document(field, value))
+        assert doc_error == error
+        assert (via_doc is None) == (built is None)
+        if field == "sample_size" and built is not None:
+            assert via_doc.law == built.law
+        elif built is not None:
+            assert dataclasses.replace(via_doc, model=built.model) == built
