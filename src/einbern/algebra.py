@@ -1,9 +1,10 @@
-"""Einstein products, unfoldings, and the symmetric block dilation.
+"""Einstein products and the symmetric block dilation.
 
 The mode-1-fastest layout makes every unfolding a reshape, so the fast
-contraction path is unfold -> matrix multiply -> fold.  Naive nested-loop
-reference contractions are kept alongside as independent oracles; the
-fast path and the reference path share no code.
+contraction path is unfold -> matrix multiply -> fold.  The unfoldings
+and their inverse belong to ``tensor`` and are re-exported here.  Naive
+nested-loop reference contractions are kept alongside as independent
+oracles; the fast path and the reference path share no code.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, _finite, matricize
+from .tensor import (Tensor, _finite, matricize, matricize_general, matricize_rows,
+                     unmatricize)
 
 __all__ = [
     "einstein_product",
@@ -84,11 +86,9 @@ def einstein_product_reference(a: Tensor, b: Tensor, num_contracted=None) -> Ten
 def _require_same_cubic(a: Tensor, b: Tensor) -> int:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not a.is_cubic:
-        raise ShapeError(f"shape {a.shape} is not cubic")
     if a.order < 1:
         raise ShapeError("operands must have at least one mode")
-    return a.shape[0]
+    return a.cubic_dim
 
 
 def gen_product_outer(a: Tensor, b: Tensor) -> Tensor:
@@ -170,43 +170,6 @@ def gen_product_inner_reference(a: Tensor, b: Tensor) -> Tensor:
                 acc += arr_a[ii + kk] * arr_b[ii + ll]
             out[kk + ll] = acc
     return _finite(free + free, lambda: out.reshape(-1, order="F"))
-
-
-def matricize_general(t: Tensor) -> np.ndarray:
-    """Unfold a cubic tensor to the d**m by d**(N-m) matrix, m = ceil(N/2).
-
-    Zero-copy: returns a read-only reshape of the flat buffer.
-    """
-    if not t.is_cubic:
-        raise ShapeError(f"shape {t.shape} is not cubic")
-    d = t.cubic_dim
-    m = (t.order + 1) // 2
-    return t.data.reshape((d**m, d ** (t.order - m)), order="F")
-
-
-def matricize_rows(rows, order: int, d: int) -> np.ndarray:
-    """Unfold each row of a (B, d**order) stack of flat cubic tensors.
-
-    Row b becomes the matrix ``matricize_general`` gives for it; the
-    result is a (B, d**m, d**(order-m)) view, m = ceil(order/2).
-    """
-    m = (order + 1) // 2
-    return np.asarray(rows).reshape(-1, d ** (order - m), d**m).transpose(0, 2, 1)
-
-
-def unmatricize(mat, order: int, d: int) -> Tensor:
-    """Fold a d**m by d**(order-m) matrix back into a cubic tensor."""
-    if order < 0 or d < 1:
-        raise ShapeError(f"bad target order {order} or dimension {d}")
-    arr = np.asarray(mat, dtype=np.float64)
-    m = (order + 1) // 2
-    expected = (d**m, d ** (order - m))
-    if arr.shape != expected:
-        raise ShapeError(
-            f"matrix of shape {arr.shape} cannot fold to order {order}, "
-            f"dimension {d} (expected {expected})"
-        )
-    return Tensor((d,) * order, arr.reshape(-1, order="F"))
 
 
 def hermitian_dilation(mat) -> np.ndarray:

@@ -22,13 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import _gram_tensor, matricize, matricize_rows
+from .algebra import _gram_tensor
 from .errors import (MAX_MODEL_ENTRIES, ApplicabilityError, DomainError, ModelError,
-                     NumericalError, _int, _is_integer, _is_real)
+                     NumericalError, ShapeError, _int, _is_integer, _is_real)
 from .spectral import (
     _psd_spectrum, _trace, e_spectral_norm, sym_eig, sym_eigvals, top_singular_values
 )
-from .tensor import Tensor, _computed, _fmt, e_symmetric_rows
+from .tensor import Tensor, _computed, _fmt, e_symmetric_rows, matricize, matricize_rows
 
 __all__ = [
     "Rademacher",
@@ -402,10 +402,10 @@ class BernsteinReport:
         """Tail probability bound tail_factor * exp(-t^2/2 / (nu + L t / 3)).
 
         The raw value can exceed 1; the clamped value is capped there for
-        reporting.  A deterministic zero sum (nu = L = 0) has zero tail for
-        every positive t.  Where t^2 or the denominator overflows, or the
+        reporting.  Where t^2 or the denominator overflows, or the
         denominator underflows to zero, the same exponent is evaluated as
-        t/2 / (nu/t + L/3).
+        t/2 / (nu/t + L/3); so a deterministic zero sum (nu = L = 0) has
+        zero tail for every positive t.
         """
         if not math.isfinite(t):
             raise DomainError(f"t must be finite, got {t}")
@@ -419,8 +419,6 @@ class BernsteinReport:
         nu, L = self.nu, self.L
         if t == 0.0:
             raw = self.tail_factor
-        elif nu == 0.0 and L == 0.0:
-            raw = 0.0
         else:
             square, denom = t * t, nu + L * t / 3.0
             if math.isfinite(square) and 0.0 < denom < math.inf:
@@ -452,8 +450,10 @@ def intrinsic_report(
     """Intrinsic-dimension tail bound from variance upper bounds.
 
     ``v_outer`` and ``v_inner`` must be E-PSD and, when the exact
-    statistics are supplied, dominate them in the E-PSD order.  The tail
-    4 dv exp(-t^2/2/(nu + Lt/3)) is valid for t >= sqrt(nu) + L/3.
+    statistics are supplied, dominate them in the E-PSD order.  Their
+    orders must be 2m and 2(N-m), m = ceil(N/2), with one mode size d,
+    else a ShapeError.  The tail 4 dv exp(-t^2/2/(nu + Lt/3)) is valid
+    for t >= sqrt(nu) + L/3.
 
     The intrinsic dimension from the tensor traces is cross-checked
     against trace/norm of the block matrix assembled from the two
@@ -467,8 +467,11 @@ def intrinsic_report(
     if exact_inner is not None:
         _check_e_psd(v_inner - exact_inner, f"inner {dominates}", vals_inner)
 
-    order = (v_outer.order + v_inner.order) // 2
-    d = v_outer.cubic_dim if v_outer.order else v_inner.cubic_dim
+    dims = {v.cubic_dim for v in (v_outer, v_inner) if v.order}  # order 0 has no d
+    if len(dims) > 1 or v_outer.order - v_inner.order not in (0, 2):  # 2m - 2(N-m)
+        raise ShapeError(f"variance bounds of shapes {v_outer.shape} and "
+                         f"{v_inner.shape} do not come from one cubic order-N sum")
+    order, d = (v_outer.order + v_inner.order) // 2, max(dims, default=1)
     nu = float(max(vals_outer[0], vals_inner[0]))
     if nu <= 0.0:
         raise ApplicabilityError(

@@ -132,18 +132,17 @@ def cmd_bound(args) -> int:
     report = build_report(model, args.theorem)
     grid = args.t_grid
     if report.tail_domain_min > 0:
-        kept = tuple(t for t in grid if report.in_domain(t))
-        if len(kept) < len(grid):
-            print(
-                f"warning: dropped {len(grid) - len(kept)} grid points below "
-                f"the validity threshold t >= {report.tail_domain_min:.6g}",
-                file=sys.stderr,
-            )
-        grid = kept
-    # a failing tail point or file leaves no report and no CSV behind
+        grid = tuple(t for t in grid if report.in_domain(t))
+    # a failing tail point or file leaves no report, warning or CSV behind
     csv = format_tail_csv(report, grid)
     with open(args.out, "wb") as fh:
         fh.write(csv.encode("ascii"))
+    if len(grid) < len(args.t_grid):
+        print(
+            f"warning: dropped {len(args.t_grid) - len(grid)} grid points below "
+            f"the validity threshold t >= {report.tail_domain_min:.6g}",
+            file=sys.stderr,
+        )
     sys.stdout.write(format_report(report))
     return EXIT_OK
 

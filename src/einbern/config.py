@@ -80,7 +80,7 @@ def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> T
         raise ModelError(f"mode sizes must be positive, got {list(shape)}")
     if math.prod(shape) > budget:
         raise _over_budget(f"a component of shape {list(shape)}")
-    data = np.zeros(math.prod(shape) if shape else 1)
+    data = np.zeros(math.prod(shape))
     for entry in entries:
         if not isinstance(entry, list) or len(entry) != len(shape) + 1:
             raise ModelError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import hermitian_dilation, matricize_general, unmatricize
+from .algebra import hermitian_dilation
 from .errors import ConvergenceError, NumericalError, ShapeError, SymmetryError
 from .tensor import (
     DEFAULT_TOL,
@@ -26,6 +26,8 @@ from .tensor import (
     is_e_symmetric,
     is_fully_symmetric,
     matricize,
+    matricize_general,
+    unmatricize,
 )
 
 __all__ = [
@@ -165,7 +167,7 @@ def e_evd(t: Tensor) -> EinsteinEVD:
 def e_spectral_norm(t: Tensor) -> float:
     """Largest eigenvalue magnitude of the square unfolding."""
     values = e_eigenvalues(t)
-    return float(max(values[0], -values[-1])) if values.size else 0.0
+    return float(max(values[0], -values[-1]))
 
 
 def e_trace(t: Tensor) -> float:

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError, _is_integer
 
 # Entrywise comparisons are absolute after scaling by the largest entry
 # magnitude; contractions at desk scale keep rounding well below this.
@@ -34,10 +34,19 @@ class Tensor:
     __slots__ = ("shape", "data")
 
     def __init__(self, shape, data, copy: bool = True):
+        try:
+            shape = tuple(shape)
+        except TypeError:
+            raise ShapeError(f"shape must be a sequence of mode sizes, got {shape!r}") from None
+        if not all(_is_integer(s) for s in shape):
+            raise ShapeError(f"mode sizes must be integers, got {shape}")
         shape = tuple(int(s) for s in shape)
         if any(s < 1 for s in shape):
             raise ShapeError(f"mode sizes must be positive, got {shape}")
-        arr = np.asarray(data, dtype=np.float64)
+        try:
+            arr = np.asarray(data, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"data are not float64 entries: {exc}") from None
         if arr.ndim != 1:
             raise ShapeError("data must be a flat one-dimensional buffer")
         if arr.size != math.prod(shape):
@@ -70,14 +79,11 @@ class Tensor:
         return self.data.size
 
     @property
-    def is_cubic(self) -> bool:
-        return self.order == 0 or all(s == self.shape[0] for s in self.shape)
-
-    @property
     def cubic_dim(self) -> int:
-        """Common mode size d; order-0 tensors count as dimension 1."""
-        if not self.is_cubic:
-            raise ShapeError(f"tensor of shape {self.shape} is not cubic")
+        """Common mode size d; order-0 tensors count as dimension 1.  The
+        one judgement of whether a tensor is cubic."""
+        if any(s != self.shape[0] for s in self.shape):
+            raise ShapeError(f"shape {self.shape} is not cubic")
         return self.shape[0] if self.order else 1
 
     def entry(self, *indices: int) -> float:
@@ -90,7 +96,7 @@ class Tensor:
         return float(self.data[0])
 
     def max_abs(self) -> float:
-        return float(np.abs(self.data).max()) if self.size else 0.0
+        return float(np.abs(self.data).max())
 
     def allclose(self, other: "Tensor", tol: float = DEFAULT_TOL) -> bool:
         return self.shape == other.shape and bool(_close(self.data, other.data, tol))
@@ -188,16 +194,43 @@ def delinearize(flat: int, shape) -> tuple:
 def _require_even_cubic(t: Tensor) -> int:
     if t.order % 2:
         raise ShapeError(f"order {t.order} is odd; an even order is required")
-    if not t.is_cubic:
-        raise ShapeError(f"shape {t.shape} is not cubic")
     return t.cubic_dim
 
 
+def matricize_rows(rows, order: int, d: int) -> np.ndarray:
+    """Unfold each row of a (B, d**order) stack of flat cubic tensors: a
+    (B, d**m, d**(order-m)) view, m = ceil(order/2).  The one place a flat
+    buffer becomes an unfolding; the others are its one-row case."""
+    m = (order + 1) // 2
+    return np.asarray(rows).reshape(-1, d ** (order - m), d**m).transpose(0, 2, 1)
+
+
+def matricize_general(t: Tensor) -> np.ndarray:
+    """The general unfolding of a cubic tensor, a read-only view of its
+    buffer: ``matricize_rows`` of its one row."""
+    return matricize_rows(t.data[None], t.order, t.cubic_dim)[0]
+
+
 def matricize(t: Tensor) -> np.ndarray:
-    """The square paired-mode unfolding of an even-order cubic tensor, a
-    read-only view of its buffer."""
-    half = _require_even_cubic(t) ** (t.order // 2)
-    return t.data.reshape((half, half), order="F")
+    """The square paired-mode unfolding of an even-order cubic tensor:
+    the ``matricize_general`` view of its buffer, after the order check."""
+    _require_even_cubic(t)
+    return matricize_general(t)
+
+
+def unmatricize(mat, order: int, d: int) -> Tensor:
+    """Fold a d**m by d**(order-m) matrix back into a cubic tensor."""
+    if order < 0 or d < 1:
+        raise ShapeError(f"bad target order {order} or dimension {d}")
+    arr = np.asarray(mat, dtype=np.float64)
+    m = (order + 1) // 2
+    expected = (d**m, d ** (order - m))
+    if arr.shape != expected:
+        raise ShapeError(
+            f"matrix of shape {arr.shape} cannot fold to order {order}, "
+            f"dimension {d} (expected {expected})"
+        )
+    return Tensor((d,) * order, arr.reshape(-1, order="F"))
 
 
 def transpose_even(t: Tensor) -> Tensor:
@@ -249,7 +282,7 @@ def e_symmetric_rows(rows) -> np.ndarray:
     n = math.isqrt(rows.shape[-1])
     if rows.ndim != 2 or n * n != rows.shape[1]:
         raise ShapeError(f"rows of shape {rows.shape} do not unfold to square matrices")
-    mats = rows.reshape(len(rows), n, n)
+    mats = matricize_rows(rows, 2, n)  # square: unfolded as order 2, dim n
     return _close(mats, mats.swapaxes(1, 2), DEFAULT_TOL, axis=(1, 2),
                   scale=np.abs(rows).max(axis=1))
 
@@ -293,24 +326,26 @@ def is_fully_symmetric(t: Tensor, tol: float = DEFAULT_TOL) -> bool:
                        np.minimum.reduceat(values, starts), tol, scale=t.max_abs()))
 
 
-def outer_power(x, m: int) -> Tensor:
-    """m-fold tensor power of a vector: entries prod_l x[i_l]."""
+def _power_operand(x, m: int) -> np.ndarray:
+    """The vector x as float64, the operand of an m-fold power, m >= 1."""
     if m < 1:
         raise DomainError(f"power must be at least 1, got {m}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ShapeError("expected a vector")
+    return x
+
+
+def outer_power(x, m: int) -> Tensor:
+    """m-fold tensor power of a vector: entries prod_l x[i_l]."""
+    x = _power_operand(x, m)
     return _finite((x.size,) * m,
                    lambda: reduce(np.multiply.outer, [x] * m).reshape(-1, order="F"))
 
 
 def kron_power(x, m: int) -> np.ndarray:
     """m-fold Kronecker power of a vector, length d**m."""
-    if m < 1:
-        raise DomainError(f"power must be at least 1, got {m}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ShapeError("expected a vector")
+    x = _power_operand(x, m)
     return _computed("the Kronecker power", lambda: reduce(np.kron, [x] * m))
 
 

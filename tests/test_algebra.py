@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import einbern
+from einbern import algebra, tensor
 from einbern import (
     EinbernError,
     ShapeError,
@@ -240,6 +242,33 @@ def test_matricize_rows_matches_matricize_general(order):
     mats = matricize_rows(np.stack([t.data for t in tensors]), order, 3)
     for t, mat in zip(tensors, mats):
         assert np.array_equal(mat, matricize_general(t))
+
+
+def test_every_unfolding_is_one_read_only_view():
+    # tensor.matricize_rows is the one place a buffer is unfolded; each
+    # unfolding keeps the layout of the buffer's F-order reshape
+    for order in range(7):
+        for d in (1, 2, 3):
+            t = Tensor((d,) * order, np.arange(d**order, dtype=np.float64))
+            m = (order + 1) // 2
+            want = t.data.reshape((d**m, d ** (order - m)), order="F")
+            views = [matricize_general(t), matricize_rows(t.data[None], order, d)[0]]
+            if order % 2 == 0:
+                views.append(matricize(t))
+            for view in views:
+                assert (view.shape, view.strides) == (want.shape, want.strides)
+                assert np.shares_memory(view, t.data) and not view.flags.writeable
+                assert np.array_equal(view, want)
+
+
+def test_tensor_owns_the_unfoldings_and_the_cubic_rule():
+    for name in ("matricize", "matricize_general", "matricize_rows", "unmatricize"):
+        assert getattr(algebra, name) is getattr(tensor, name) is getattr(einbern, name)
+    t = Tensor((2, 3), np.zeros(6))
+    for judge in (lambda: t.cubic_dim, lambda: matricize_general(t),
+                  lambda: matricize(t), lambda: gen_product_outer(t, t)):
+        with pytest.raises(ShapeError, match=r"^shape \(2, 3\) is not cubic$"):
+            judge()
 
 
 @st.composite

@@ -14,6 +14,7 @@ from einbern import (
     ModelError,
     NumericalError,
     Rademacher,
+    ShapeError,
     Subsample,
     SumModel,
     SymmetryError,
@@ -537,6 +538,24 @@ class TestIntrinsicReport:
         z = Tensor((2, 2), np.zeros(4))
         with pytest.raises(ApplicabilityError):
             intrinsic_report(z, z, 0.0)
+
+    @pytest.mark.parametrize("outer, inner", [
+        (identity_tensor(1, 2), 0.5 * identity_tensor(1, 3)),
+        (0.5 * identity_tensor(1, 3), identity_tensor(1, 2)),
+        (identity_tensor(1, 2), identity_tensor(2, 2)),
+    ], ids=["dims-2-and-3", "dims-3-and-2", "outer-order-below-inner"])
+    def test_sides_of_no_one_sum_are_refused(self, outer, inner):
+        # these were reported as dim=2 with dim_factor 4, as dim=3 with
+        # dim_factor 6, and as N=3, whose outer Gram has order 4, not 2
+        with pytest.raises(ShapeError, match=r"^variance bounds of shapes \(.*\) and "
+                           r"\(.*\) do not come from one cubic order-N sum$"):
+            intrinsic_report(outer, inner, 1.0)
+
+    def test_sides_of_orders_2m_and_2n_minus_2m(self):
+        # N = 3 has m = 2; N = 1 has an order-0 inner side with no mode size
+        assert intrinsic_report(identity_tensor(2, 2), identity_tensor(1, 2), 1.0).order == 3
+        report = intrinsic_report(identity_tensor(1, 3), Tensor((), [1.0]), 1.0)
+        assert (report.order, report.dim, report.dv) == (1, 3, 4.0)
 
 
 class TestReports:

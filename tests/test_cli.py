@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1295,3 +1296,179 @@ def test_oversized_grid_spec_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
     assert "at most" in err and "Traceback" not in err
+
+
+# The exit-code contract over generated inputs (ROADMAP item 6): each case
+# is a valid document or command line with one field or token mutated.
+# Sizes stay small: K <= 3, order <= 3, d <= 3 and 100 trials.
+CONTRACT_MODEL = {"schema": 1, "law": "rademacher",
+                  "generate": {"count": 3, "order": 3, "dim": 2, "seed": 3,
+                               "kind": "general", "scale": 1.0}}
+CONTRACT_DOCS = (
+    ("bound", CONTRACT_MODEL),
+    ("bound", {"schema": 1, "law": "subsample", "sample_size": 3, "with_replacement": True,
+               "components": [{"shape": [2, 2], "entries": [[1, 1, 1.0], [2, 2, -1.0]]},
+                              {"shape": [2, 2], "entries": [[1, 2, 0.5], [2, 1, 0.5]]}]}),
+    ("simulate", {"schema": 1,
+                  "model": {"law": "rademacher",
+                            "generate": {"count": 2, "order": 2, "dim": 2, "seed": 0,
+                                         "kind": "e_symmetric"}},
+                  "trials": 100, "t_grid": {"start": 0.0, "stop": 4.0, "num": 5},
+                  "seed": 0, "confidence_slack": 3.0, "theorem": "auto"}),
+    ("simulate", {**small_experiment_doc(), "theorem": "even"}),
+)
+BIG_INT = "@big-int@"  # an integer past the 4300-digit limit, spliced as text
+HOSTILE_VALUES = [
+    None, True, False, "", "abc", [], [[]], [1, [2]], {}, {"a": 1},
+    math.nan, math.inf, -math.inf, BIG_INT, 2**24 + 1, 2**25, 10**30, -(10**30),
+    1e154, 8.9e307, 1.7e308, -1.7e308, 1e-310, -1, -5, 0, 1, 2, 3, 0.5, 2.5,
+    [2.0, 1.0], [0.0, 1.7e308, -1.7e308], [math.nan], [1e-310, 8.9e307],
+    {"start": -1.7e308, "stop": 1.7e308, "num": 3},
+    {"start": 0.0, "stop": 1.0, "num": 2**24 + 1}, {"start": 1.0, "stop": 0.0, "num": 3},
+    "even", "general", "intrinsic", "auto", "subsample", "e_symmetric",
+    "fully_symmetric", {"file": "missing.txt"}, {"shape": [2, 2], "entries": []},
+]
+# MODEL, EXPERIMENT and OUT stand for paths in the case's directory
+CONTRACT_ARGVS = (
+    ("bound", "--config", "MODEL", "--theorem", "general", "--t-grid", "0:4:5", "--out", "OUT"),
+    ("bound", "--config", "MODEL", "--theorem", "intrinsic", "--t-grid", "0:4:5",
+     "--out", "OUT"),
+    ("simulate", "--config", "EXPERIMENT", "--out", "OUT"),
+    ("verify", "--suite", "algebra", "--cases", "1"),
+    ("example45",),
+)
+# no valid count: `verify --cases` has no upper bound, so a large one runs for hours
+HOSTILE_TOKENS = [
+    "", "abc", "-", "--", "-h", "--help", "--help=1", "--out", "--conf", "--t", "=",
+    "--config=", "--theorem=even", "-1", "0", "1.5", "nan", "inf", "1e400", "9" * 5000,
+    "0:4", "0:4:5:6", "0:4:0", "4:0:5", "0:1:16777217", "0:inf:3", "nan:1:3",
+    "-1.7e308:1.7e308:3", "1e-310:1e-300:3", "0:8.9e307:2", "even", "intrinsic",
+    "general", "all", "spectral", "\u00fc", "missing.json",
+]
+
+
+def json_nodes(doc, path=()):
+    """The path of every value inside a JSON document, the root excluded."""
+    items = (doc.items() if isinstance(doc, dict) else
+             enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_nodes(value, path + (key,))
+
+
+def json_text(value) -> str:
+    return json.dumps(value).replace(f'"{BIG_INT}"', "1" + "0" * 4301)
+
+
+@st.composite
+def mutated_documents(draw):
+    """(command, document text): one of CONTRACT_DOCS with one value
+    replaced or deleted, an unknown key added beside it, or its key
+    repeated before itself with another value."""
+    command, doc = draw(st.sampled_from(CONTRACT_DOCS))
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(json_nodes(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    value = draw(st.sampled_from(HOSTILE_VALUES))
+    mutation = draw(st.sampled_from(("replace", "delete", "add", "repeat")))
+    if mutation == "replace":
+        parent[path[-1]] = value
+    elif mutation == "delete":
+        del parent[path[-1]]
+    elif mutation == "add" and isinstance(parent, dict):
+        parent["unknown"] = value
+    text = json_text(doc)
+    if mutation == "repeat" and isinstance(path[-1], str):
+        key = json.dumps(path[-1])
+        text = text.replace(f"{key}: ", f"{key}: {json_text(value)}, {key}: ", 1)
+    return command, text
+
+
+@st.composite
+def mutated_argvs(draw):
+    """One of CONTRACT_ARGVS with one token replaced, deleted, inserted or
+    repeated."""
+    argv = list(draw(st.sampled_from(CONTRACT_ARGVS)))
+    at = draw(st.integers(0, len(argv)))
+    token = draw(st.sampled_from(HOSTILE_TOKENS))
+    mutation = draw(st.sampled_from(("replace", "delete", "insert", "repeat")))
+    if mutation == "insert" or at == len(argv):
+        argv.insert(at, token)
+    elif mutation == "replace":
+        argv[at] = token
+    elif mutation == "delete":
+        del argv[at]
+    else:
+        argv.insert(at, argv[at])
+    return argv
+
+
+def check_exit_code_contract(argv, workdir):
+    """Run ``main(argv)`` in the empty ``workdir``: its code is 0-4 and no
+    warning escapes; a code of 2-4 leaves stdout and ``workdir`` empty and
+    one ``error:`` line on stderr (after the usage line for a usage error);
+    a ``bound`` or ``simulate`` run that returns 0 or 1 leaves its CSV,
+    whose verdicts stdout counts."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2, 3, 4)
+    try:
+        args = parse_args(argv)
+    except UsageError:
+        args = None
+    if code >= 2:
+        lines = err.splitlines()
+        if lines and lines[0] == USAGE.splitlines()[0]:
+            assert args is None and code == 2
+            lines = lines[1:]
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+        assert os.listdir(workdir) == []
+    elif args is not None and args.command in ("bound", "simulate"):
+        rows = Path(workdir, args.out).read_text(encoding="ascii").splitlines()
+        assert "error:" not in err
+        if args.command == "simulate":
+            verdicts = [row.rsplit(",", 1)[1] for row in rows[1:]]
+            passed = verdicts.count("pass")
+            assert out.endswith(f"\ntail_verdicts={passed}/{len(verdicts)} pass\n")
+            assert (code == 0) == (passed == len(verdicts)
+                                   and "expectation_verdict=fail" not in out)
+        else:
+            assert rows[0] == "t,bound_raw,bound_clamped" and code == 0
+
+
+@given(case=st.one_of(mutated_documents(), mutated_argvs()),
+       theorem=st.sampled_from(THEOREMS[1:]))
+@example(case=list(CONTRACT_ARGVS[1][:-1]) + [""], theorem="even")
+@settings(derandomize=True, max_examples=1000, deadline=None)
+def test_cli_keeps_the_exit_code_contract_on_mutated_inputs(case, theorem):
+    # the example: an intrinsic `bound` whose --out cannot be written used
+    # to print its dropped-points warning before the error line
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {"MODEL": os.path.join(workdir, "model.json"),
+                 "EXPERIMENT": os.path.join(workdir, "experiment.json"),
+                 "OUT": os.path.join(workdir, "out", "result.csv")}
+        os.mkdir(os.path.join(workdir, "out"))
+        write_json(Path(paths["MODEL"]), CONTRACT_DOCS[0][1])
+        write_json(Path(paths["EXPERIMENT"]), CONTRACT_DOCS[2][1])
+        if isinstance(case, tuple):
+            command, text = case
+            config = paths["MODEL" if command == "bound" else "EXPERIMENT"]
+            Path(config).write_text(text, encoding="utf-8")
+            argv = [command, "--config", config, "--out", paths["OUT"]]
+            if command == "bound":
+                argv += ["--theorem", theorem, "--t-grid", "0:4:5"]
+        else:
+            argv = [paths.get(token, token) for token in case]
+        check_exit_code_contract(argv, os.path.join(workdir, "out"))

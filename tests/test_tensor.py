@@ -115,6 +115,27 @@ class TestTensorType:
         with pytest.raises(ShapeError):
             Tensor((2, 0), [])
 
+    @pytest.mark.parametrize("shape, data, error, message", [
+        ((2.7,), [1.0, 2.0], ShapeError, r"^mode sizes must be integers, got \(2\.7,\)$"),
+        ((True,), [1.0], ShapeError, r"^mode sizes must be integers, got \(True,\)$"),
+        ("ab", [1.0], ShapeError, r"^mode sizes must be integers, got \('a', 'b'\)$"),
+        (5, [1.0], ShapeError, r"^shape must be a sequence of mode sizes, got 5$"),
+        ((2,), "ab", DomainError,
+         r"^data are not float64 entries: could not convert string to float"),
+        ((2,), [10**400, 1], DomainError,
+         r"^data are not float64 entries: .*too large"),
+    ], ids=["float-size", "bool-size", "str-shape", "int-shape", "str-data",
+            "int-past-float"])
+    def test_sizes_and_entries_are_judged(self, shape, data, error, message):
+        # the float size was truncated to 2 and the bool read as 1; the
+        # last four raised a bare TypeError, ValueError or OverflowError
+        with pytest.raises(error, match=message):
+            Tensor(shape, data)
+
+    def test_numpy_integer_sizes_are_ints(self):
+        t = Tensor((np.int64(2), np.int32(1)), [1.0, 2.0])
+        assert t.shape == (2, 1) and {type(s) for s in t.shape} == {int}
+
     def test_immutable_buffer(self):
         t = Tensor((2,), [1.0, 2.0])
         with pytest.raises(ValueError):
