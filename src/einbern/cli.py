@@ -24,6 +24,8 @@ EXIT_NUMERICAL = 4
 
 # ``verify.suite_names()``; ``verify`` loads only for the commands that use it
 SUITE_NAMES = ("algebra", "bounds", "spectral")
+# at about 4 ms a case, `verify --suite all` runs some 7 minutes at the most
+MAX_CASES = 100_000
 
 
 USAGE = """\
@@ -32,9 +34,10 @@ usage: einbern COMMAND [--option value | --option=value ...] | einbern -h
   bound --config MODEL --theorem {even,general,intrinsic} --t-grid a:b:n --out CSV
   simulate --config EXPERIMENT --out CSV
   example45
-verify runs a seeded property suite; bound writes a model's tail bound at t in
-linspace(a, b, n); simulate checks a Monte Carlo experiment against its bound;
-example45 shows a tensor PSD but not E-PSD.  Options may be cut to a unique prefix.
+verify runs a seeded property suite of 1 to 100000 cases; bound writes a
+model's tail bound at t in linspace(a, b, n); simulate checks a Monte Carlo
+experiment against its bound; example45 shows a tensor PSD but not E-PSD.
+Options may be cut to a unique prefix.
 """
 
 
@@ -51,11 +54,13 @@ def _one_of(choices: tuple):
     return choice
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, most: float = float("inf")):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise ValueError(f"need an integer >= {low}, got {value}")
+        if value > most:
+            raise ValueError(f"need an integer <= {most}, got {value}")
         return value
 
     return integer
@@ -71,7 +76,7 @@ def _grid_spec(text: str) -> tuple:
 # command -> option -> (converter of its text, default, or None if required)
 _OPTIONS = {
     "verify": {"--suite": (_one_of((*SUITE_NAMES, "all")), None),
-               "--seed": (_int_at_least(0), 0), "--cases": (_int_at_least(1), 100)},
+               "--seed": (_int_at_least(0), 0), "--cases": (_int_at_least(1, MAX_CASES), 100)},
     "bound": {"--config": (str, None), "--theorem": (_one_of(THEOREMS[1:]), None),
               "--t-grid": (_grid_spec, None), "--out": (str, None)},
     "simulate": {"--config": (str, None), "--out": (str, None)},

@@ -17,7 +17,7 @@ from .bounds import Subsample, SumModel, _stack_components
 from .errors import MAX_MODEL_ENTRIES, ModelError, _float, _int
 from .montecarlo import ExperimentConfig
 from .streams import uniform
-from .tensor import Tensor, _orbit_means, linearize, read_tensor_text
+from .tensor import Tensor, _from_entries, _orbit_means, read_tensor_text
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,15 +56,8 @@ def _require(doc: dict, key: str, where: str, kind: type = object):
     return doc[key]
 
 
-def _over_budget(what: str) -> ModelError:
-    return ModelError(
-        f"{what} takes the model over its budget of {MAX_MODEL_ENTRIES} "
-        f"tensor entries"
-    )
-
-
 def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> Tensor:
-    """One component; it may hold at most ``budget`` entries."""
+    """One component of at most ``budget`` entries, from a tensor file or inline."""
     if isinstance(spec, dict) and set(spec) == {"file"}:
         path = _require(spec, "file", "component", str)
         try:
@@ -74,24 +67,10 @@ def _tensor_from_spec(spec, base_dir: str, budget: int = MAX_MODEL_ENTRIES) -> T
             raise ModelError(f"bad tensor file {spec['file']!r}: {exc}") from exc
     _check_keys(spec, _COMPONENT_KEYS, "component")
     shape = _require(spec, "shape", "component", list)
-    shape = tuple(_int(s, "mode size") for s in shape)
-    entries = _require(spec, "entries", "component", list)
-    if any(s < 1 for s in shape):
-        raise ModelError(f"mode sizes must be positive, got {list(shape)}")
-    if math.prod(shape) > budget:
-        raise _over_budget(f"a component of shape {list(shape)}")
-    data = np.zeros(math.prod(shape))
-    for entry in entries:
-        if not isinstance(entry, list) or len(entry) != len(shape) + 1:
-            raise ModelError(
-                f"entry {entry!r} needs {len(shape)} indices and a value"
-            )
-        idx = tuple(_int(i, "entry index") for i in entry[:-1])
-        try:
-            data[linearize(idx, shape) - 1] = _float(entry[-1], "entry value")
-        except IndexError as exc:
-            raise ModelError(str(exc)) from exc
-    return Tensor(shape, data, copy=False)
+    try:
+        return _from_entries(shape, _require(spec, "entries", "component", list), budget)
+    except IndexError as exc:
+        raise ModelError(str(exc)) from exc
 
 
 def _generate_components(spec: dict) -> tuple:
@@ -115,7 +94,8 @@ def _generate_components(spec: dict) -> tuple:
         raise ModelError("e_symmetric generation needs an even order")
     # past order 64 any dim > 1 is over budget; the cap keeps the power small
     if count * dim ** min(order, 64) > MAX_MODEL_ENTRIES:
-        raise _over_budget(f"generating {count} order-{order} dim-{dim} {kind} tensors")
+        raise ModelError(f"generating {count} order-{order} dim-{dim} {kind} tensors takes "
+                         f"the model over its budget of {MAX_MODEL_ENTRIES} tensor entries")
     # a draw spans 2*scale; a symmetric entry sums an orbit of up to N! draws
     terms = max(2, math.factorial(min(order, 64))) if kind == "fully_symmetric" else 2
     if not 0.0 <= terms * scale < math.inf:

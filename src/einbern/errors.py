@@ -52,7 +52,7 @@ def _is_real(x) -> bool:
 
 
 def _int(value, where: str, most: float = math.inf) -> int:
-    if not _is_integer(value):
+    if type(value) is not int and not _is_integer(value):  # most values are ints
         raise ModelError(f"{where} must be an integer, got {value!r}")
     if value > most:
         raise ModelError(f"{where} must be at most {most}, got {value}")

@@ -17,7 +17,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError, _is_integer
+from .errors import (DomainError, ModelError, NumericalError, ShapeError, _float, _int,
+                     _is_integer)
 
 # Entrywise comparisons are absolute after scaling by the largest entry
 # magnitude; contractions at desk scale keep rounding well below this.
@@ -445,36 +446,45 @@ def format_tensor_text(t: Tensor) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_tensor_text(text: str, max_entries: int | None = None) -> Tensor:
-    """Parse the sparse fixture format produced by format_tensor_text.
+def _from_entries(shape, entries, max_entries: int | None = None) -> Tensor:
+    """The sparse format's one reader: positive mode sizes, then entries of one
+    1-based index per mode and a value; unlisted entries are zero.  A shape of
+    over ``max_entries`` entries is refused before any buffer is allocated."""
+    shape = tuple(_int(s, "mode size") for s in shape)
+    if any(s < 1 for s in shape):
+        raise ModelError(f"mode sizes must be positive, got {list(shape)}")
+    size = math.prod(shape)
+    if max_entries is not None and size > max_entries:
+        raise ModelError(f"shape {list(shape)} has {size} entries, more than the "
+                         f"{max_entries} the entry budget allows")
+    data = np.zeros(size)
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != len(shape) + 1:
+            raise ModelError(f"entry {entry!r} needs {len(shape)} indices and a value")
+        idx = tuple(_int(i, "entry index") for i in entry[:-1])
+        data[linearize(idx, shape) - 1] = _float(entry[-1], "entry value")
+    return Tensor(shape, data, copy=False)
 
-    A header announcing more than ``max_entries`` entries is refused
-    before any buffer is allocated.
-    """
+
+def _number(token: str):
+    return int(token) if token.lstrip("+-").isdigit() else float(token)
+
+
+def parse_tensor_text(text: str, max_entries: int | None = None) -> Tensor:
+    """Parse the sparse fixture format produced by format_tensor_text;
+    ``_from_entries`` judges the numbers of its header and entry lines."""
     rows = [line.split() for line in text.splitlines() if line.strip()]
     if not rows:
         raise ValueError("empty tensor text")
     try:
         order = int(rows[0][0])
-        shape = tuple(int(v) for v in rows[0][1:])
+        shape = [_number(v) for v in rows[0][1:]]
     except ValueError as exc:
         raise ValueError(f"bad header line: {rows[0]}") from exc
     if len(shape) != order:
-        raise ValueError(
-            f"header announces order {order} but lists {len(shape)} mode sizes"
-        )
-    if max_entries is not None and math.prod(shape) > max_entries:
-        raise ValueError(
-            f"shape {shape} has {math.prod(shape)} entries, more than the "
-            f"{max_entries} allowed"
-        )
-    data = np.zeros(math.prod(shape))
-    for parts in rows[1:]:
-        if len(parts) != order + 1:
-            raise ValueError(f"entry line needs {order} indices and a value: {parts}")
-        idx = tuple(int(p) for p in parts[:order])
-        data[linearize(idx, shape) - 1] = float(parts[-1])
-    return Tensor(shape, data, copy=False)
+        raise ValueError(f"header announces order {order} but lists {len(shape)} mode sizes")
+    entries = ([_number(v) for v in parts] for parts in rows[1:])
+    return _from_entries(shape, entries, max_entries)
 
 
 def read_tensor_text(path, max_entries: int | None = None) -> Tensor:

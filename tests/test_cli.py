@@ -26,6 +26,7 @@ from einbern import (
     Subsample,
     Tensor,
     build_report,
+    delinearize,
     load_experiment,
     load_model,
     model_from_dict,
@@ -269,7 +270,7 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert main(["verify", "--suite", "nope"]) == 2
 
-    @pytest.mark.parametrize("cases", ["0", "-3"])
+    @pytest.mark.parametrize("cases", ["0", "-3", "100001"])
     def test_no_cases_is_usage_error(self, capsys, cases):
         assert main(["verify", "--suite", "bounds", "--cases", cases]) == 2
         captured = capsys.readouterr()
@@ -519,22 +520,23 @@ class TestSimulateCommand:
         assert captured.err == "error: the even-order mean bound needs d >= 2\n"
 
 
-class TestOversizedInputs:
-    def run_bound(self, tmp_path, doc):
-        config = write_json(tmp_path / "model.json", doc)
-        return main(["bound", "--config", config, "--theorem", "general",
-                     "--t-grid", "0:1:3", "--out", str(tmp_path / "x.csv")])
+def run_bound(tmp_path, doc, theorem="general"):
+    config = write_json(tmp_path / "model.json", doc)
+    return main(["bound", "--config", config, "--theorem", theorem,
+                 "--t-grid", "0:1:3", "--out", str(tmp_path / "x.csv")])
 
+
+class TestOversizedInputs:
     def test_oversized_generate_exits_2(self, tmp_path, capsys):
         doc = {"schema": 1, "law": "rademacher",
                "generate": {"count": 2, "order": 12, "dim": 10, "seed": 0}}
-        assert self.run_bound(tmp_path, doc) == 2
+        assert run_bound(tmp_path, doc) == 2
         assert "budget" in capsys.readouterr().err
 
     def test_huge_order_generate_exits_2(self, tmp_path, capsys):
         doc = {"schema": 1, "law": "rademacher",
                "generate": {"count": 1, "order": 10**9, "dim": 2, "seed": 0}}
-        assert self.run_bound(tmp_path, doc) == 2
+        assert run_bound(tmp_path, doc) == 2
         assert "budget" in capsys.readouterr().err
 
     def test_oversized_inline_components_exit_2(self, tmp_path, capsys):
@@ -543,15 +545,15 @@ class TestOversizedInputs:
                "components": [{"shape": shape, "entries": []}] * 2}
         # one component of 8**8 entries fits; two exceed the budget
         assert 8**8 <= MAX_MODEL_ENTRIES < 2 * 8**8
-        assert self.run_bound(tmp_path, doc) == 2
+        assert run_bound(tmp_path, doc) == 2
         assert "budget" in capsys.readouterr().err
 
     def test_oversized_tensor_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "big.txt").write_text("12 " + "10 " * 12 + "\n")
         doc = {"schema": 1, "law": "rademacher",
                "components": [{"file": "big.txt"}]}
-        assert self.run_bound(tmp_path, doc) == 2
-        assert "allowed" in capsys.readouterr().err
+        assert run_bound(tmp_path, doc) == 2
+        assert "budget" in capsys.readouterr().err
 
     def test_fully_symmetric_counts_its_entries(self, tmp_path, capsys):
         # order 10, dim 2: 2**10 entries fit the budget, and no N! is charged
@@ -563,13 +565,82 @@ class TestOversizedInputs:
         # order 25: 2**25 entries do not
         generate["order"] = 25
         doc = {"schema": 1, "law": "rademacher", "generate": generate}
-        assert self.run_bound(tmp_path, doc) == 2
+        assert run_bound(tmp_path, doc) == 2
         assert "budget" in capsys.readouterr().err
 
     def test_non_positive_mode_size_exits_2(self, tmp_path):
         doc = {"schema": 1, "law": "rademacher",
                "components": [{"shape": [2, -2], "entries": []}]}
-        assert self.run_bound(tmp_path, doc) == 2
+        assert run_bound(tmp_path, doc) == 2
+
+
+# each fault the sparse reader judges, as a tensor file's text and as the
+# inline shape and entries of the same component
+SPARSE_FAULTS = {
+    "negative-mode-size": ("2 2 -2\n", [2, -2], []),
+    "zero-mode-size": ("2 2 0\n", [2, 0], []),
+    "entry-arity": ("2 2 2\n1 1\n", [2, 2], [[1, 1]]),
+    "index-zero": ("2 2 2\n0 1 1.0\n", [2, 2], [[0, 1, 1.0]]),
+    "over-budget": ("12" + " 10" * 12 + "\n", [10] * 12, []),
+}
+
+
+@pytest.mark.parametrize("text, shape, entries", SPARSE_FAULTS.values(), ids=SPARSE_FAULTS)
+def test_a_sparse_fault_has_one_message_in_both_spellings(tmp_path, capsys, text,
+                                                          shape, entries):
+    (tmp_path / "c.txt").write_text(text, encoding="ascii")
+    errors = []
+    for component in ({"file": "c.txt"}, {"shape": shape, "entries": entries}):
+        doc = {"schema": 1, "law": "rademacher", "components": [component]}
+        assert run_bound(tmp_path, doc) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors[0].replace("bad tensor file 'c.txt': ", "", 1) == errors[1]
+
+
+@st.composite
+def sparse_tensors(draw):
+    """A cubic tensor of order 1-3 and dimension 1-3, as a model component."""
+    shape = (draw(st.integers(1, 3)),) * draw(st.integers(1, 3))
+    value = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+    size = math.prod(shape)
+    return Tensor(shape, draw(st.lists(value, min_size=size, max_size=size)))
+
+
+@given(t=sparse_tensors())
+@settings(max_examples=60, deadline=None)
+def test_inline_entries_and_a_tensor_file_load_alike(t):
+    entries = [[*delinearize(pos + 1, t.shape), v]
+               for pos, v in enumerate(t.data.tolist()) if v != 0.0]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tensor_text(t, Path(tmp, "t.txt"))
+        stacks = [model_from_dict({"law": "rademacher", "components": [c]}, tmp).stack
+                  for c in ({"file": "t.txt"}, {"shape": list(t.shape), "entries": entries})]
+    assert np.array_equal(stacks[0], stacks[1])
+    assert np.array_equal(stacks[0][0], t.data)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"schema": 1, "law": "rademacher", "generate": {"count": 1, "order": 3,'
+     ' "dim": 2, "seed": 0, "kind": "e_symmetric"}}',
+     "e_symmetric generation needs an even order"),
+    ('{"schema": 1, "law": "rademacher", "components": []}',
+     "'components' must be a non-empty list"),
+    ('{"schema": 1, "law": "rademacher", "sample_size": 2, "generate": {"count": 1,'
+     ' "order": 2, "dim": 2, "seed": 0}}',
+     "'sample_size' is only valid for the subsample law"),
+    ("[1, 2]", "config document must be a JSON object"),
+], ids=["odd-order-e-symmetric", "no-components", "rademacher-sample-size",
+        "document-list"])
+def test_model_document_refusals_exit_2(tmp_path, capsys, text, message):
+    config = tmp_path / "model.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["bound", "--config", str(config), "--theorem", "even",
+                 "--t-grid", "0:1:3", "--out", str(tmp_path / "x.csv")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def run_python(*args, env=None):
@@ -746,6 +817,20 @@ class TestOverflowingQuantities:
         out = tmp_path / "a.csv"
         proc = run_cli("simulate", "--config", config, "--out", str(out))
         self.assert_exit_4(proc, out, "mean bound overflowed")
+
+    @pytest.mark.parametrize("theorem, dim, value", [("general", 2, 8.4e153),
+                                                      ("even", 3, 9.2e153)])
+    def test_mean_bound_overflow_exits_4_in_process(self, tmp_path, capsys, theorem,
+                                                     dim, value):
+        # one entry v: L = v and nu = v^2 are finite, but the mean bound's
+        # 2 nu log(factor) is not
+        doc = {"schema": 1, "law": "rademacher",
+               "components": [{"shape": [dim, dim], "entries": [[1, 1, value]]}]}
+        assert run_bound(tmp_path, doc, theorem) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: the mean bound overflowed: L={value!r}, ")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_trial_std_overflow_exits_4(self, tmp_path):
         # the bound is finite, but the squared deviations of the trial
@@ -929,11 +1014,11 @@ def _oracle_grid_spec(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}: {exc}") from exc
 
 
-def _oracle_int_at_least(low: int):
+def _oracle_int_in(low: int, high: float = math.inf):
     def integer(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"need an integer >= {low}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"need an integer in {low}..{high}, got {value}")
         return value
 
     return integer
@@ -955,8 +1040,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", required=True, choices=[*SUITE_NAMES, "all"]
     )
-    p_verify.add_argument("--seed", type=_oracle_int_at_least(0), default=0)
-    p_verify.add_argument("--cases", type=_oracle_int_at_least(1), default=100)
+    p_verify.add_argument("--seed", type=_oracle_int_in(0), default=0)
+    p_verify.add_argument("--cases", type=_oracle_int_in(1, 100000), default=100)
 
     p_bound = sub.add_parser(
         "bound", help="evaluate one bound for a model and write its tail curve"
@@ -1009,7 +1094,7 @@ _PATHS = ["model.json", "a b", "bound", "", "=", "-", "-1", "-x y"]
 _VALUES = {
     "--suite": (["algebra", "all"], ["nope", "al", "--out"]),
     "--seed": (["0", "7", " 3", "+2", "1_0"], ["-1", "x", "1.5"]),
-    "--cases": (["1", "100"], ["0", "-3", ""]),
+    "--cases": (["1", "100", "100000"], ["0", "-3", "", "100001"]),
     "--config": (_PATHS, ["--out"]),
     "--out": (_PATHS, ["--config"]),
     "--theorem": (["even", "intrinsic"], ["none", "Even"]),
@@ -1101,6 +1186,7 @@ def test_usage_names_every_command_option_and_choice():
         assert f"\n  {command}" in USAGE
         assert all(name in USAGE for name in table)
     assert all(choice in USAGE for choice in (*SUITE_NAMES, *THEOREMS[1:]))
+    assert f"1 to {cli.MAX_CASES} cases" in USAGE
 
 
 _BOUND = ["bound", "--config", "{config}", "--theorem", "even",
@@ -1337,13 +1423,12 @@ CONTRACT_ARGVS = (
     ("verify", "--suite", "algebra", "--cases", "1"),
     ("example45",),
 )
-# no valid count: `verify --cases` has no upper bound, so a large one runs for hours
 HOSTILE_TOKENS = [
     "", "abc", "-", "--", "-h", "--help", "--help=1", "--out", "--conf", "--t", "=",
     "--config=", "--theorem=even", "-1", "0", "1.5", "nan", "inf", "1e400", "9" * 5000,
     "0:4", "0:4:5:6", "0:4:0", "4:0:5", "0:1:16777217", "0:inf:3", "nan:1:3",
     "-1.7e308:1.7e308:3", "1e-310:1e-300:3", "0:8.9e307:2", "even", "intrinsic",
-    "general", "all", "spectral", "\u00fc", "missing.json",
+    "general", "all", "spectral", "\u00fc", "missing.json", "100001",
 ]
 
 

@@ -33,6 +33,7 @@ COMMANDS = (
     ("bound", "--config", "demo/model_odd.json", "--theorem", "general", "--t-grid", "0:20:11"),
     ("bound", "--config", "demo/model_even.json", "--theorem", "general", "--t-grid", "0:26:14"),
     ("bound", "--config", "demo/model_even.json", "--theorem", "intrinsic", "--t-grid", "0:26:14"),
+    ("bound", "--config", "demo/model_file.json", "--theorem", "even", "--t-grid", "0:10:6"),
 )
 
 _NUMBER = re.compile(r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^[-+]?(inf|nan)$")

@@ -129,6 +129,12 @@ class TestExperimentConfig:
         with pytest.raises(ModelError):
             ExperimentConfig(model=model, trials=100, t_grid=(0.0,), seed=seed)
 
+    @pytest.mark.parametrize("grid, message", [(5, "t_grid must be iterable, got 5"),
+                                               ((), "t_grid must be non-empty")])
+    def test_grid_must_be_a_non_empty_iterable(self, grid, message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            ExperimentConfig(model=small_even_model(), trials=100, t_grid=grid, seed=0)
+
     def test_unknown_theorem(self):
         model = small_even_model()
         with pytest.raises(ModelError):
