@@ -19,99 +19,18 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .algebra import (
-    einstein_product,
-    einstein_product_reference,
-    gen_product_inner,
-    gen_product_inner_reference,
-    gen_product_outer,
-    gen_product_outer_reference,
-    hermitian_dilation,
-    matricize,
-    matricize_general,
-    matricize_rows,
-    unmatricize,
-)
-from .bounds import (
-    BernsteinReport,
-    Rademacher,
-    Subsample,
-    SumModel,
-    TailBound,
-    build_report,
-    format_report,
-    format_tail_csv,
-    intrinsic_report,
-    resolve_theorem,
-    uniform_bound_L,
-    variance_general,
-)
-from .config import (
-    MAX_MODEL_ENTRIES,
-    SCHEMA_VERSION,
-    experiment_from_dict,
-    load_experiment,
-    load_model,
-    model_from_dict,
-)
-from .errors import (
-    ApplicabilityError,
-    ConvergenceError,
-    DomainError,
-    EinbernError,
-    ModelError,
-    NumericalError,
-    ShapeError,
-    SymmetryError,
-)
-from .montecarlo import (
-    ExpectationCheck,
-    ExperimentConfig,
-    ExperimentResult,
-    TailRow,
-    format_results_csv,
-    run_experiment,
-)
-from .spectral import (
-    EigenDecomposition,
-    EinsteinEVD,
-    ZEigenEstimate,
-    e_eigenvalues,
-    e_evd,
-    e_spectral_norm,
-    e_trace,
-    gen_spectral_norm,
-    is_e_pd,
-    is_e_psd,
-    sym_eig,
-    sym_eigvals,
-    top_singular_values,
-    z_eigen_max,
-)
-from .tensor import (
-    DEFAULT_TOL,
-    Tensor,
-    apply_power,
-    apply_power_map,
-    delinearize,
-    e_symmetric_rows,
-    format_tensor_text,
-    hadamard,
-    identity_tensor,
-    is_diagonal,
-    is_e_symmetric,
-    is_fully_symmetric,
-    kron_power,
-    linearize,
-    outer_power,
-    parse_tensor_text,
-    psd_counterexample_tensor,
-    random_e_symmetric,
-    random_fully_symmetric,
-    random_tensor,
-    read_tensor_text,
-    transpose_even,
-    write_tensor_text,
-)
+# each module's __all__ is its public API, and the package's is their union
+from . import algebra, bounds, config, errors, montecarlo, spectral, tensor
+from .algebra import *
+from .bounds import *
+from .config import *
+from .errors import *
+from .montecarlo import *
+from .spectral import *
+from .tensor import *
+
+__all__ = list(dict.fromkeys(
+    name for module in (algebra, bounds, config, errors, montecarlo, spectral, tensor)
+    for name in module.__all__))
 
 __version__ = "0.1.0"

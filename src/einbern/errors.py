@@ -3,6 +3,9 @@
 import math
 import numbers
 
+__all__ = ["EinbernError", "ShapeError", "DomainError", "SymmetryError", "ModelError",
+           "ApplicabilityError", "NumericalError", "ConvergenceError"]
+
 # Most tensor entries (count x d**N) of a model, trials and subsample draws:
 # 2**24 float64 entries are 128 MiB, and building and bounding a model copies
 # them a few times.  Larger inputs are refused before anything is allocated.

@@ -43,11 +43,9 @@ __all__ = [
     "format_results_csv",
 ]
 
-# At most this many trials share one chunk, and a chunk's weight and sum
-# blocks stay within _CHUNK_BYTES each.  A 1 MiB block raised the peak
-# RSS of a 400-component subsample run by 1.3 %; a quarter of that left
-# it unchanged at the same speed.
-_CHUNK_TRIALS = 256
+# A chunk of trials keeps its weight and sum blocks within _CHUNK_BYTES
+# each.  A 1 MiB block raised the peak RSS of a 400-component subsample
+# run by 1.3 %; a quarter of that left it unchanged at the same speed.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -143,7 +141,7 @@ class ExperimentResult:
 
 def _chunk_size(model: SumModel) -> int:
     widest = max(*model.stack.shape, model.num_summands)
-    return max(1, min(_CHUNK_TRIALS, _CHUNK_BYTES // (8 * widest)))
+    return max(1, _CHUNK_BYTES // (8 * widest))
 
 
 def _collect_statistics(config: ExperimentConfig, kind: str) -> np.ndarray:

@@ -20,6 +20,32 @@ import numpy as np
 from .errors import (DomainError, ModelError, NumericalError, ShapeError, _float, _int,
                      _is_integer)
 
+__all__ = [
+    "DEFAULT_TOL",
+    "Tensor",
+    "apply_power",
+    "apply_power_map",
+    "delinearize",
+    "e_symmetric_rows",
+    "format_tensor_text",
+    "hadamard",
+    "identity_tensor",
+    "is_diagonal",
+    "is_e_symmetric",
+    "is_fully_symmetric",
+    "kron_power",
+    "linearize",
+    "outer_power",
+    "parse_tensor_text",
+    "psd_counterexample_tensor",
+    "random_e_symmetric",
+    "random_fully_symmetric",
+    "random_tensor",
+    "read_tensor_text",
+    "transpose_even",
+    "write_tensor_text",
+]
+
 # Entrywise comparisons are absolute after scaling by the largest entry
 # magnitude; contractions at desk scale keep rounding well below this.
 DEFAULT_TOL = 1e-12
@@ -467,7 +493,12 @@ def _from_entries(shape, entries, max_entries: int | None = None) -> Tensor:
 
 
 def _number(token: str):
-    return int(token) if token.lstrip("+-").isdigit() else float(token)
+    """The int, or else the float, a token spells; a token that spells
+    neither is kept, for ``_from_entries`` to refuse by its field."""
+    try:
+        return int(token) if token.lstrip("+-").isdigit() else float(token)
+    except ValueError:
+        return token
 
 
 def parse_tensor_text(text: str, max_entries: int | None = None) -> Tensor:
@@ -478,9 +509,9 @@ def parse_tensor_text(text: str, max_entries: int | None = None) -> Tensor:
         raise ValueError("empty tensor text")
     try:
         order = int(rows[0][0])
-        shape = [_number(v) for v in rows[0][1:]]
     except ValueError as exc:
         raise ValueError(f"bad header line: {rows[0]}") from exc
+    shape = [_number(v) for v in rows[0][1:]]
     if len(shape) != order:
         raise ValueError(f"header announces order {order} but lists {len(shape)} mode sizes")
     entries = ([_number(v) for v in parts] for parts in rows[1:])

@@ -582,6 +582,9 @@ SPARSE_FAULTS = {
     "entry-arity": ("2 2 2\n1 1\n", [2, 2], [[1, 1]]),
     "index-zero": ("2 2 2\n0 1 1.0\n", [2, 2], [[0, 1, 1.0]]),
     "over-budget": ("12" + " 10" * 12 + "\n", [10] * 12, []),
+    "mode-size-not-an-integer": ("2 x 2\n", ["x", 2], []),
+    "index-not-an-integer": ("2 2 2\n--5 1 1.0\n", [2, 2], [["--5", 1, 1.0]]),
+    "value-not-a-number": ("2 2 2\n1 1 x\n", [2, 2], [[1, 1, "x"]]),
 }
 
 

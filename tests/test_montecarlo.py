@@ -416,7 +416,8 @@ class TestBatchedTrials:
         model = SumModel.rademacher([random_tensor(rng, (3,) * 8)])
         chunk = montecarlo._chunk_size(model)
         assert 8 * chunk * model.stack.shape[1] <= montecarlo._CHUNK_BYTES
-        assert montecarlo._chunk_size(small_even_model()) == montecarlo._CHUNK_TRIALS
+        # the budget alone sizes a chunk: 8 components of 16 entries
+        assert montecarlo._chunk_size(small_even_model()) == montecarlo._CHUNK_BYTES // (8 * 16)
         # a subsample's draws per trial count against the budget too
         wide = SumModel.subsample([random_tensor(rng, (2, 2)) for _ in range(3)], 5000)
         assert 8 * montecarlo._chunk_size(wide) * 5000 <= montecarlo._CHUNK_BYTES
